@@ -187,8 +187,8 @@ def canonicalize_answer(raw: str, mode: str = "exact") -> str:
 def cluster_by_answer(problem: Problem) -> list[AnswerCluster]:
     """Partition a problem's candidates into clusters by canonical answer.
 
-    Clusters are returned in the deterministic order (n_a descending,
-    answer_key ascending) that downstream argmax tie-breaking relies on.
+    Clusters are returned in a deterministic order (n_a descending,
+    answer_key ascending); selection reports its diagnostics in this order.
     Score aggregates are filled from disc_score when every member has one.
     """
     if not problem.candidates:

@@ -6,9 +6,11 @@ averaging. Every draw gets its own counter-based RNG stream keyed by
 (seed, problem_id, draw index), and reduction order is fixed, so results
 are bit-identical at any parallelism level.
 
-The per-draw scoring here is a vectorized re-statement of the rules in
-selection.py, arranged so both paths perform the same float operations in
-the same order; the test suite holds them to exact agreement.
+What a rule decides on a slate comes from selection.py: the same
+per-candidate scores, objectives, cluster tie order and BoN order that
+select_answer applies to a whole pool. Only the aggregation is done here,
+per slate: bincount counts and score sums over the drawn candidates. The
+test suite holds the two paths to exact agreement, slate by slate.
 """
 
 from __future__ import annotations
@@ -26,7 +28,19 @@ import numpy as np
 
 from .core import NO_ANSWER_KEY, EmptyPoolError, IngestError, Problem
 from .costs import LatencyTable, ModelConfig, latency_lookup, pipeline_flops
-from .selection import DEFAULT_GPV_ALPHA, DEFAULT_PV_ALPHA, METHODS, sigmoid
+from .selection import (
+    DEFAULT_GPV_ALPHA,
+    DEFAULT_PV_ALPHA,
+    METHODS,
+    _bon_ranking,
+    _gen_means,
+    _objective,
+    _order,
+    _resolve_m,
+    _transform_fn,
+    candidate_gen_scores,
+    candidate_scores,
+)
 
 _PIPELINE_MODE = {"sc": "sc", "bon": "disc", "wsc": "disc", "pv": "disc", "gpv": "gen"}
 
@@ -57,6 +71,7 @@ class EvalConfig:
             raise ValueError(f"unknown selection method: {self.method!r}")
         if self.ci_method not in ("normal", "percentile"):
             raise ValueError(f"unknown ci method: {self.ci_method!r}")
+        _transform_fn(self.transform)  # raises as select_answer does
 
     @property
     def effective_alpha(self) -> float:
@@ -122,11 +137,13 @@ def slate_rng(seed: int, problem_id: str, draw: int) -> np.random.Generator:
 
 
 class _PoolArrays:
-    """Per-problem candidate data flattened for per-draw scoring.
+    """One problem's candidates as arrays, for aggregating slates.
 
-    Answer codes are assigned in ascending answer_key order, so a plain
-    argmax over codes realizes the key-ascending half of the tie-break and
-    a lexsort on (code, -count, -objective) realizes all of it.
+    What a rule decides comes from selection.py: the per-candidate scores,
+    the objective, the cluster tie order and BoN's candidate order. A slate
+    only counts and sums its clusters. Answer codes are assigned in
+    ascending answer_key order, so a code stands for its key in the tie
+    order.
     """
 
     def __init__(self, problem: Problem, cfg: EvalConfig):
@@ -134,137 +151,75 @@ class _PoolArrays:
         self.k = len(cands)
         if self.k == 0:
             raise EmptyPoolError(f"problem {problem.problem_id!r}: empty pool")
-        self.pid = problem.problem_id
 
         keys = sorted({c.cluster_key for c in cands})
         code_of = {key: i for i, key in enumerate(keys)}
-        self.n_codes = len(keys)
         self.codes = np.array([code_of[c.cluster_key] for c in cands])
         self.none_code = code_of.get(NO_ANSWER_KEY, -1)
 
-        correct = np.zeros(self.n_codes, dtype=bool)
-        seen: dict[int, bool] = {}
+        graded: dict[int, bool] = {}
         for c in cands:
             if c.correct is None:
                 raise ValueError("labels required")
             code = code_of[c.cluster_key]
-            if seen.setdefault(code, c.correct) != c.correct:
+            if graded.setdefault(code, c.correct) != c.correct:
                 raise IngestError(
                     f"problem {problem.problem_id!r}: answer "
                     f"{c.cluster_key!r} graded both correct and incorrect"
                 )
-            correct[code] = c.correct
-        self.correct_code = correct.astype(float)
+        self.correct = [float(graded[code]) for code in range(len(keys))]
 
-        transform = sigmoid if cfg.transform == "sigmoid" else float
-        method = cfg.method
-        if method == "bon":
-            self.raw = np.array(
-                [self._need_score(c.disc_score) for c in cands]
+        self.rank = self.weights = None
+        if cfg.method == "bon":
+            ranked = _bon_ranking(cands, candidate_scores(cands, "raw"))
+            place = {c.candidate_id: i for i, c in enumerate(ranked)}
+            # unranked (no-answer) candidates take rank k and never win
+            self.rank = np.array([place.get(c.candidate_id, self.k) for c in cands])
+            return
+        m = 1
+        if cfg.method == "gpv":
+            gen = candidate_gen_scores(cands, cfg.transform)
+            m = _resolve_m(gen, cfg.m_verifications)
+            self.weights = np.array(list(_gen_means(gen, m).values()))
+        elif cfg.method != "sc":
+            self.weights = np.array(
+                list(candidate_scores(cands, cfg.transform).values())
             )
-            order = np.argsort(np.array([c.candidate_id for c in cands]))
-            self.id_rank = np.empty(self.k, dtype=int)
-            self.id_rank[order] = np.arange(self.k)
-        elif method in ("wsc", "pv"):
-            self.w = np.array(
-                [transform(self._need_score(c.disc_score)) for c in cands]
-            )
-        elif method == "gpv":
-            rows = []
-            for c in cands:
-                if c.gen_scores is None:
-                    raise ValueError("scores required")
-                rows.append([transform(s) for s in c.gen_scores])
-            lengths = {len(r) for r in rows}
-            if len(lengths) > 1:
-                raise ValueError("inconsistent M")
-            data_m = lengths.pop()
-            self.m = data_m if cfg.m_verifications is None else cfg.m_verifications
-            if not 1 <= self.m <= data_m:
-                raise ValueError("inconsistent M")
-            self.gmean = (
-                np.asarray(rows)[:, : self.m].sum(axis=1) / self.m
-            )
+        self.objective = _objective(cfg.method, cfg.n, cfg.effective_alpha, m)
 
-    @staticmethod
-    def _need_score(score: Optional[float]) -> float:
-        if score is None:
-            raise ValueError("scores required")
-        return score
-
-
-def _slate_scorer(arrays: _PoolArrays, cfg: EvalConfig):
-    """Bind a (slate indices) -> 0/1 scorer for one problem and method."""
-    method = cfg.method
-    codes = arrays.codes
-    n_codes = arrays.n_codes
-    none_code = arrays.none_code
-    correct = arrays.correct_code
-
-    if method == "sc":
-
-        def score(idx: np.ndarray) -> float:
-            counts = np.bincount(codes[idx], minlength=n_codes)
-            if none_code >= 0:
-                counts[none_code] = 0
-            win = int(np.argmax(counts))
-            return correct[win] if counts[win] > 0 else 0.0
-
-    elif method == "bon":
-        raw = arrays.raw
-        id_rank = arrays.id_rank
-
-        def score(idx: np.ndarray) -> float:
-            if none_code >= 0:
-                idx = idx[codes[idx] != none_code]
-                if idx.size == 0:
-                    return 0.0
-            s = raw[idx]
-            tied = idx[s == s.max()]
-            winner = tied[np.argmin(id_rank[tied])]
-            return correct[codes[winner]]
-
-    else:
-        alpha = cfg.effective_alpha
-        if alpha < 0:
-            raise ValueError("invalid alpha")
-        if method == "gpv":
-            weights, m = arrays.gmean, arrays.m
-            log_pen = math.log(cfg.n * m)
-        else:
-            weights, m = arrays.w, 1
-            log_pen = math.log(cfg.n)
-
-        def score(idx: np.ndarray) -> float:
-            counts = np.bincount(codes[idx], minlength=n_codes)
-            if none_code >= 0:
-                counts[none_code] = 0
-            present = np.nonzero(counts)[0]
-            if present.size == 0:
+    def outcome(self, idx: np.ndarray) -> float:
+        """1.0 when the rule's pick on the slate idx is correct, else 0.0."""
+        if self.rank is not None:
+            ranks = self.rank[idx]
+            best = int(np.argmin(ranks))
+            if ranks[best] == self.k:
                 return 0.0
-            sums = np.bincount(codes[idx], weights=weights[idx],
-                               minlength=n_codes)[present]
-            n_a = counts[present]
-            if method == "wsc":
-                obj = sums
-            else:
-                obj = sums / n_a - alpha * (log_pen / (n_a * m + 1))
-            win = present[np.lexsort((present, -n_a, -obj))[0]]
-            return correct[win]
+            return self.correct[self.codes[idx[best]]]
 
-    return score
+        codes = self.codes[idx]
+        counts = np.bincount(codes).tolist()
+        if self.weights is None:
+            totals = counts  # sc's objective reads no total
+        else:
+            totals = np.bincount(codes, weights=self.weights[idx]).tolist()
+        objective = self.objective
+        present = [
+            (objective(totals[code], n_a)[1], n_a, code)
+            for code, n_a in enumerate(counts)
+            if n_a and code != self.none_code
+        ]
+        return self.correct[min(present, key=_order)[2]] if present else 0.0
 
 
 def _eval_problem(args: tuple[Problem, EvalConfig, bool]) -> np.ndarray:
     """Per-draw 0/1 accuracy vector for one problem."""
     problem, cfg, exhaustive = args
-    arrays = _PoolArrays(problem, cfg)
-    score = _slate_scorer(arrays, cfg)
-    k = arrays.k
+    pool = _PoolArrays(problem, cfg)
+    k = pool.k
 
     if exhaustive:
         slates = itertools.combinations(range(k), cfg.n)
-        return np.array([score(np.array(s)) for s in slates])
+        return np.array([pool.outcome(np.array(s)) for s in slates])
 
     if not cfg.replacement and cfg.n > k:
         raise ValueError(
@@ -274,7 +229,7 @@ def _eval_problem(args: tuple[Problem, EvalConfig, bool]) -> np.ndarray:
     for t in range(cfg.draws):
         rng = slate_rng(cfg.seed, problem.problem_id, t)
         idx = rng.choice(k, size=cfg.n, replace=cfg.replacement)
-        out[t] = score(idx)
+        out[t] = pool.outcome(idx)
     return out
 
 
@@ -298,14 +253,6 @@ def bootstrap_accuracy(
     """
     if not problems:
         raise ValueError("no problems")
-    resolved_m = None
-    if cfg.method == "gpv":
-        resolved_m = cfg.m_verifications
-        if resolved_m is None:
-            first = problems[0].candidates[0].gen_scores
-            if first is None:
-                raise ValueError("scores required")
-            resolved_m = len(first)
     if exhaustive:
         sizes = {len(p.candidates) for p in problems}
         if cfg.replacement:
@@ -322,6 +269,11 @@ def bootstrap_accuracy(
             rows = list(pool.map(_eval_problem, work, chunksize=chunk))
     else:
         rows = [_eval_problem(w) for w in work]
+
+    resolved_m = None  # the first pool's M, once every pool has been checked
+    if cfg.method == "gpv":
+        gen = candidate_gen_scores(problems[0].candidates, cfg.transform)
+        resolved_m = _resolve_m(gen, cfg.m_verifications)
 
     matrix = np.vstack(rows)
     per_problem = matrix.mean(axis=1)
@@ -420,33 +372,36 @@ def budget_curve(
             per_problem.append(n * total / len(stats))
         return float(np.mean(per_problem))
 
-    points = []
+    # Every budget is worked out, and checked, before any slate is drawn.
+    plan = []
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown selection method: {method!r}")
         for m in m_grid if method == "gpv" else (0,):
-            curve = []
-            for n in sorted(n_grid):
-                run = dataclasses.replace(
-                    base, n=n, method=method,
-                    m_verifications=m if method == "gpv" else None,
-                )
-                report = bootstrap_accuracy(problems, run, jobs=jobs)
-                curve.append(
-                    BudgetPoint(
-                        method=method, n=n, m=m,
-                        budget=point_budget(method, n, m),
-                        accuracy=report.mean,
-                        ci_low=report.ci_low,
-                        ci_high=report.ci_high,
-                    )
-                )
-            budgets = [pt.budget for pt in curve]
-            if any(b1 <= b0 for b0, b1 in zip(budgets, budgets[1:])):
+            budgets = [(n, point_budget(method, n, m)) for n in sorted(n_grid)]
+            values = [b for _, b in budgets]
+            if any(b1 <= b0 for b0, b1 in zip(values, values[1:])):
                 raise ValueError(
-                    f"budget not strictly increasing for {method!r}: {budgets}"
+                    f"budget not strictly increasing for {method!r}: {values}"
                 )
-            points.extend(curve)
+            plan.append((method, m, budgets))
+
+    points = []
+    for method, m, budgets in plan:
+        for n, budget in budgets:
+            run = dataclasses.replace(
+                base, n=n, method=method,
+                m_verifications=m if method == "gpv" else None,
+            )
+            report = bootstrap_accuracy(problems, run, jobs=jobs)
+            points.append(
+                BudgetPoint(
+                    method=method, n=n, m=m, budget=budget,
+                    accuracy=report.mean,
+                    ci_low=report.ci_low,
+                    ci_high=report.ci_high,
+                )
+            )
     return points
 
 

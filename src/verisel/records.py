@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,9 +77,37 @@ def _parse_line(lineno: int, line: str) -> dict:
     return record
 
 
+# The types json.loads gives numbers; booleans are a type of their own.
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _finite(values) -> bool:
+    """True when every value is a finite JSON number."""
+    try:
+        return _NUMBER_TYPES.issuperset(map(type, values)) and all(
+            map(math.isfinite, values)
+        )
+    except (TypeError, OverflowError):
+        return False
+
+
 def _candidate_of(lineno: int, record: dict, canon: str) -> Candidate:
     raw = record.get("answer", "") or ""
+    correct = record.get("correct")
+    if correct is not None and not isinstance(correct, bool):
+        raise IngestError(
+            f"line {lineno}: correct must be true or false, got {correct!r}"
+        )
+    disc = record.get("disc_score")
+    if disc is not None and not _finite((disc,)):
+        raise IngestError(
+            f"line {lineno}: disc_score must be a finite number, got {disc!r}"
+        )
     gen = record.get("gen_scores")
+    if gen is not None and not _finite(gen):
+        raise IngestError(
+            f"line {lineno}: gen_scores must be finite numbers, got {gen!r}"
+        )
     try:
         stats = TokenStats(
             prompt_tokens=record.get("prompt_tokens", 0),
@@ -91,11 +120,9 @@ def _candidate_of(lineno: int, record: dict, canon: str) -> Candidate:
             candidate_id=record["candidate_id"],
             answer_raw=raw,
             answer_key=canonicalize_answer(raw, canon),
-            correct=None if record.get("correct") is None
-            else bool(record["correct"]),
-            disc_score=None if record.get("disc_score") is None
-            else float(record["disc_score"]),
-            gen_scores=None if gen is None else tuple(float(g) for g in gen),
+            correct=correct,
+            disc_score=None if disc is None else float(disc),
+            gen_scores=None if gen is None else tuple(map(float, gen)),
             token_stats=stats,
         )
     except (TypeError, ValueError) as exc:

@@ -12,6 +12,11 @@ Five rules share one result shape:
 All rules are pure functions. Ties break by the deterministic cluster order
 (support descending, key ascending; lowest candidate_id for BoN) unless a
 seeded generator is passed, in which case a tied winner is drawn uniformly.
+
+This module is the only statement of what a rule decides: the objectives
+(_objective), the per-candidate scores, the cluster tie order (_order) and
+BoN's candidate order (_bon_ranking). The slate evaluator in evaluate.py
+calls these too and only aggregates each slate itself.
 """
 
 from __future__ import annotations
@@ -114,43 +119,130 @@ class SelectionResult:
     m: Optional[int] = None
 
 
-def _pick(
-    diagnostics: Sequence[ClusterDiagnostic],
+def _order(cluster: tuple) -> tuple:
+    """Sort key of the cluster tie order; the smallest key wins.
+
+    cluster starts (objective, n_a, answer_key), and the order is objective
+    descending, then support descending, then answer key ascending (any
+    stand-in for the key that sorts the same will do).
+    """
+    return (-cluster[0], -cluster[1], cluster[2])
+
+
+def _objective(method: str, n_total: int = 1, alpha: float = 0.0, m: int = 1):
+    """What a cluster rule maximizes, as f(total, n_a) -> (penalty, objective).
+
+    total is the cluster's summed per-candidate score and n_a its support;
+    n_total is the pool (or slate) size N. sc maximizes n_a and wsc total,
+    with no penalty. pv and gpv maximize total/n_a - alpha * psi_a with
+    psi_a = ln(N*M) / (n_a*M + 1); pv is the M = 1 case.
+    """
+    if method == "sc":
+        return lambda total, n_a: (None, float(n_a))
+    if method == "wsc":
+        return lambda total, n_a: (None, total)
+    if alpha < 0:
+        raise ValueError("invalid alpha")
+    if n_total < 1:
+        raise ValueError(f"invalid pool size: {n_total}")
+    log_nm = math.log(n_total * m)
+
+    def pessimistic(total: float, n_a: int) -> tuple[float, float]:
+        penalty = log_nm / (n_a * m + 1)
+        return penalty, total / n_a - alpha * penalty
+
+    return pessimistic
+
+
+def _resolve_m(gen_scores: Mapping[str, Sequence[float]],
+               m_verifications: Optional[int]) -> int:
+    """gpv's M: m_verifications, else the one length all score rows share."""
+    lengths = {len(v) for v in gen_scores.values()}
+    if m_verifications is None:
+        if len(lengths) != 1:
+            raise ValueError("inconsistent M")
+        m_verifications = lengths.pop()
+    if m_verifications < 1 or any(n < m_verifications for n in lengths):
+        raise ValueError("inconsistent M")
+    return m_verifications
+
+
+def _gen_means(
+    gen_scores: Mapping[str, Sequence[float]], m: int
+) -> dict[str, float]:
+    """Each candidate's gpv score r~_i: the mean of its first m pass scores."""
+    return {cid: sum(scores[:m]) / m for cid, scores in gen_scores.items()}
+
+
+def _bon_ranking(
+    candidates: Sequence[Candidate], scores: Mapping[str, float]
+) -> list[Candidate]:
+    """BoN's candidate order: highest score first, then lowest candidate_id.
+
+    Candidates without an extracted answer are left out; they never win.
+    """
+    return sorted(
+        (c for c in candidates if c.cluster_key != NO_ANSWER_KEY),
+        key=lambda c: (-scores[c.candidate_id], c.candidate_id),
+    )
+
+
+def _select_clusters(
+    method: str,
+    clusters: Sequence[AnswerCluster],
+    totals: Sequence[Optional[float]],
+    objective,
     rng: Optional[np.random.Generator],
-) -> ClusterDiagnostic:
-    """Argmax of objective over selectable clusters, with tie handling."""
-    best: list[ClusterDiagnostic] = []
-    for diag in diagnostics:
-        if diag.objective is None:
-            continue
-        if not best or diag.objective > best[0].objective:
-            best = [diag]
-        elif diag.objective == best[0].objective:
-            best.append(diag)
-    if not best:
+    **fields,
+) -> SelectionResult:
+    """Score every cluster with objective; the winner is the first
+    selectable cluster in tie order, or with rng a seeded draw among the
+    clusters tied with it on objective."""
+    diagnostics, ranked = [], []
+    for cl, total in zip(clusters, totals):
+        penalty = value = None
+        if cl.selectable:
+            penalty, value = objective(total, cl.n_a)
+        diag = ClusterDiagnostic(
+            answer_key=cl.answer_key,
+            n_a=cl.n_a,
+            sum_score=total,
+            mean_score=None if total is None else total / cl.n_a,
+            penalty=penalty,
+            objective=value,
+        )
+        diagnostics.append(diag)
+        if value is not None:
+            ranked.append((value, cl.n_a, cl.answer_key, diag))
+    if not ranked:
         raise EmptyPoolError("no selectable answers in pool")
-    if rng is None or len(best) == 1:
-        return best[0]
-    return best[int(rng.integers(len(best)))]
+    winner = min(ranked, key=_order)
+    if rng is not None:
+        tied = sorted((c for c in ranked if c[0] == winner[0]), key=_order)
+        winner = tied[int(rng.integers(len(tied)))] if len(tied) > 1 else winner
+    return SelectionResult(
+        method=method, chosen_answer=winner[3].answer_key,
+        cluster_diagnostics=tuple(diagnostics), **fields,
+    )
 
 
 def _cluster_sums(
     clusters: Sequence[AnswerCluster],
     scores: Optional[Mapping[str, float]],
-) -> list[tuple[AnswerCluster, float, float]]:
-    """Resolve (cluster, sum, mean) from a score map or stored aggregates."""
+) -> list[float]:
+    """Summed member score per cluster, from a score map or stored aggregates."""
     out = []
     for cl in clusters:
         if scores is not None:
             try:
-                total = sum(scores[cid] for cid in cl.member_ids)
+                total = sum(map(scores.__getitem__, cl.member_ids))
             except KeyError as exc:
                 raise ValueError("scores required") from exc
         elif cl.sum_score is not None:
             total = cl.sum_score
         else:
             raise ValueError("scores required")
-        out.append((cl, total, total / cl.n_a))
+        out.append(total)
     return out
 
 
@@ -159,26 +251,18 @@ def _require_clusters(clusters: Sequence[AnswerCluster]) -> None:
         raise EmptyPoolError("empty pool")
 
 
+def _pool_size(clusters: Sequence[AnswerCluster], n_total: Optional[int]) -> int:
+    return sum(cl.n_a for cl in clusters) if n_total is None else n_total
+
+
 def select_sc(
     clusters: Sequence[AnswerCluster],
     rng: Optional[np.random.Generator] = None,
 ) -> SelectionResult:
     """Self-consistency: plurality vote over answer clusters."""
     _require_clusters(clusters)
-    diagnostics = tuple(
-        ClusterDiagnostic(
-            answer_key=cl.answer_key,
-            n_a=cl.n_a,
-            sum_score=cl.sum_score,
-            mean_score=cl.mean_score,
-            objective=float(cl.n_a) if cl.selectable else None,
-        )
-        for cl in clusters
-    )
-    winner = _pick(diagnostics, rng)
-    return SelectionResult(
-        method="sc", chosen_answer=winner.answer_key,
-        cluster_diagnostics=diagnostics,
+    return _select_clusters(
+        "sc", clusters, [cl.sum_score for cl in clusters], _objective("sc"), rng
     )
 
 
@@ -201,10 +285,7 @@ def select_bon(
         if missing:
             raise ValueError("scores required")
 
-    ranked = sorted(
-        (c for c in candidates if c.cluster_key != NO_ANSWER_KEY),
-        key=lambda c: (-scores[c.candidate_id], c.candidate_id),
-    )
+    ranked = _bon_ranking(candidates, scores)
     if not ranked:
         raise EmptyPoolError("no selectable answers in pool")
     top_score = scores[ranked[0].candidate_id]
@@ -212,23 +293,22 @@ def select_bon(
     winner = tied[0] if rng is None else tied[int(rng.integers(len(tied)))]
 
     clusters = cluster_by_answer(Problem(problem_id="", candidates=tuple(candidates)))
-    diagnostics = []
-    for cl in clusters:
-        member_best = max(scores[cid] for cid in cl.member_ids)
-        diagnostics.append(
-            ClusterDiagnostic(
-                answer_key=cl.answer_key,
-                n_a=cl.n_a,
-                sum_score=sum(scores[cid] for cid in cl.member_ids),
-                mean_score=sum(scores[cid] for cid in cl.member_ids) / cl.n_a,
-                objective=member_best if cl.selectable else None,
-            )
+    diagnostics = tuple(
+        ClusterDiagnostic(
+            answer_key=cl.answer_key,
+            n_a=cl.n_a,
+            sum_score=total,
+            mean_score=total / cl.n_a,
+            objective=max(map(scores.__getitem__, cl.member_ids))
+            if cl.selectable else None,
         )
+        for cl, total in zip(clusters, _cluster_sums(clusters, scores))
+    )
     return SelectionResult(
         method="bon",
         chosen_answer=winner.cluster_key,
         chosen_candidate=winner.candidate_id,
-        cluster_diagnostics=tuple(diagnostics),
+        cluster_diagnostics=diagnostics,
     )
 
 
@@ -239,20 +319,8 @@ def select_wsc(
 ) -> SelectionResult:
     """Weighted self-consistency: argmax of summed cluster score."""
     _require_clusters(clusters)
-    diagnostics = tuple(
-        ClusterDiagnostic(
-            answer_key=cl.answer_key,
-            n_a=cl.n_a,
-            sum_score=total,
-            mean_score=mean,
-            objective=total if cl.selectable else None,
-        )
-        for cl, total, mean in _cluster_sums(clusters, scores)
-    )
-    winner = _pick(diagnostics, rng)
-    return SelectionResult(
-        method="wsc", chosen_answer=winner.answer_key,
-        cluster_diagnostics=diagnostics,
+    return _select_clusters(
+        "wsc", clusters, _cluster_sums(clusters, scores), _objective("wsc"), rng
     )
 
 
@@ -268,31 +336,10 @@ def select_pv(
     Objective: mean_score(a) - alpha * ln(N) / (n_a + 1), N = pool size.
     """
     _require_clusters(clusters)
-    if alpha < 0:
-        raise ValueError("invalid alpha")
-    if n_total is None:
-        n_total = sum(cl.n_a for cl in clusters)
-    if n_total < 1:
-        raise ValueError(f"invalid pool size: {n_total}")
-    log_n = math.log(n_total)
-
-    diagnostics = []
-    for cl, total, mean in _cluster_sums(clusters, scores):
-        penalty = log_n / (cl.n_a + 1)
-        diagnostics.append(
-            ClusterDiagnostic(
-                answer_key=cl.answer_key,
-                n_a=cl.n_a,
-                sum_score=total,
-                mean_score=mean,
-                penalty=penalty if cl.selectable else None,
-                objective=mean - alpha * penalty if cl.selectable else None,
-            )
-        )
-    winner = _pick(diagnostics, rng)
-    return SelectionResult(
-        method="pv", chosen_answer=winner.answer_key,
-        cluster_diagnostics=tuple(diagnostics), alpha=alpha,
+    objective = _objective("pv", _pool_size(clusters, n_total), alpha)
+    return _select_clusters(
+        "pv", clusters, _cluster_sums(clusters, scores), objective, rng,
+        alpha=alpha,
     )
 
 
@@ -312,48 +359,11 @@ def select_gpv(
     dataset can serve a sweep over M.
     """
     _require_clusters(clusters)
-    if alpha < 0:
-        raise ValueError("invalid alpha")
-    lengths = {len(v) for v in gen_scores.values()}
-    if m_verifications is None:
-        if len(lengths) != 1:
-            raise ValueError("inconsistent M")
-        m_verifications = lengths.pop()
-    if m_verifications < 1 or any(n < m_verifications for n in lengths):
-        raise ValueError("inconsistent M")
-    if n_total is None:
-        n_total = sum(cl.n_a for cl in clusters)
-    if n_total < 1:
-        raise ValueError(f"invalid pool size: {n_total}")
-    log_nm = math.log(n_total * m_verifications)
-
-    diagnostics = []
-    for cl in clusters:
-        try:
-            means = [
-                sum(gen_scores[cid][:m_verifications]) / m_verifications
-                for cid in cl.member_ids
-            ]
-        except KeyError as exc:
-            raise ValueError("scores required") from exc
-        total = sum(means)
-        mean = total / cl.n_a
-        penalty = log_nm / (cl.n_a * m_verifications + 1)
-        diagnostics.append(
-            ClusterDiagnostic(
-                answer_key=cl.answer_key,
-                n_a=cl.n_a,
-                sum_score=total,
-                mean_score=mean,
-                penalty=penalty if cl.selectable else None,
-                objective=mean - alpha * penalty if cl.selectable else None,
-            )
-        )
-    winner = _pick(diagnostics, rng)
-    return SelectionResult(
-        method="gpv", chosen_answer=winner.answer_key,
-        cluster_diagnostics=tuple(diagnostics),
-        alpha=alpha, m=m_verifications,
+    m = _resolve_m(gen_scores, m_verifications)
+    objective = _objective("gpv", _pool_size(clusters, n_total), alpha, m)
+    totals = _cluster_sums(clusters, _gen_means(gen_scores, m))
+    return _select_clusters(
+        "gpv", clusters, totals, objective, rng, alpha=alpha, m=m
     )
 
 

@@ -69,6 +69,19 @@ class TestEvalConfig:
             EvalConfig(n=1, method="majority")
         with pytest.raises(ValueError, match="unknown ci method"):
             EvalConfig(n=1, ci_method="bca")
+        problem = Problem(problem_id="p", candidates=(
+            Candidate(candidate_id="c0", answer_raw="x", answer_key="x",
+                      correct=True, disc_score=1.0),
+        ))
+        with pytest.raises(ValueError) as from_select:
+            select_answer(problem, "wsc", transform="sigmod")
+        for method in METHODS:
+            with pytest.raises(ValueError) as from_config:
+                bootstrap_accuracy(
+                    [problem],
+                    EvalConfig(n=1, method=method, draws=5, transform="sigmod"),
+                )
+            assert str(from_config.value) == str(from_select.value)
 
     def test_alpha_defaults(self):
         assert EvalConfig(n=1, method="pv").effective_alpha == 0.5
@@ -130,6 +143,25 @@ class TestSlateEquivalence:
             assert len(rows) == len(slates) == 20
             for row, idx in zip(rows, slates):
                 assert row == select_on_slate(problem, np.array(idx), cfg)
+
+    def test_gpv_pass_means_summed_as_select_does(self):
+        """numpy's pairwise row sum (M >= 8) would break this exact tie the
+        other way from select_answer's in-sequence sum."""
+        a = (0.423, 0.59, 0.024, 0.673, 0.919, 0.827, 0.886, 0.66)
+        b = (0.59, 0.673, 0.919, 0.024, 0.66, 0.423, 0.827, 0.886)
+        for a_correct in (False, True):
+            problem = Problem(problem_id="m8", candidates=(
+                Candidate(candidate_id="c0", answer_raw="A", answer_key="A",
+                          correct=a_correct, gen_scores=a),
+                Candidate(candidate_id="c1", answer_raw="B", answer_key="B",
+                          correct=not a_correct, gen_scores=b),
+            ))
+            cfg = EvalConfig(n=2, method="gpv", transform="raw")
+            assert select_answer(problem, "gpv", transform="raw") \
+                .chosen_answer == "A"
+            rows = _eval_problem((problem, cfg, True))
+            assert rows.tolist() == [float(a_correct)]
+            assert rows[0] == select_on_slate(problem, np.arange(2), cfg)
 
 
 class TestBootstrap:
@@ -522,7 +554,19 @@ class TestBudgetCurve:
         assert [pt.budget for pt in points if pt.method == "wsc"] == \
             pytest.approx([1.1, 3.2, 9.4])
 
-    def test_latency_missing_measurement(self):
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """Calls budget_curve makes to bootstrap_accuracy."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return bootstrap_accuracy(*args, **kwargs)
+
+        monkeypatch.setattr("verisel.evaluate.bootstrap_accuracy", counted)
+        return calls
+
+    def test_latency_missing_measurement(self, evaluations):
         problems = self.problems()
         table = LatencyTable(entries={("generation", 1, 0): 1.0})
         with pytest.raises(ValueError, match="no measurement"):
@@ -531,8 +575,9 @@ class TestBudgetCurve:
                 budget_mode="latency", latency_table=table,
                 cfg=EvalConfig(n=1, draws=10),
             )
+        assert evaluations == []
 
-    def test_budget_must_increase(self):
+    def test_budget_must_increase(self, evaluations):
         problems = self.problems()
         table = LatencyTable(entries={
             ("generation", 1, 0): 5.0,
@@ -544,6 +589,7 @@ class TestBudgetCurve:
                 budget_mode="latency", latency_table=table,
                 cfg=EvalConfig(n=1, draws=10),
             )
+        assert evaluations == []
 
     def test_argument_validation(self):
         problems = self.problems()

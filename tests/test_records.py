@@ -144,6 +144,20 @@ class TestIngestErrors:
             ingest_text(line(disc_score="high"))
         with pytest.raises(IngestError, match="line 2"):
             ingest_text(line() + "\n" + line(candidate_id="c2", prompt_tokens=-1))
+        with pytest.raises(IngestError, match="line 1: correct"):
+            ingest_text(
+                line(correct="false", disc_score=True) + "\n"
+                + line(candidate_id="c2", correct=True, disc_score=float("nan"))
+            )
+        for bad in (
+            {"correct": "false"}, {"correct": 0}, {"disc_score": True},
+            {"disc_score": float("nan")}, {"disc_score": float("-inf")},
+            {"disc_score": 10**400}, {"disc_score": "0.5"},
+            {"gen_scores": [0.5, None]}, {"gen_scores": [False]},
+            {"gen_scores": [float("inf")]}, {"gen_scores": "0.5"},
+        ):
+            with pytest.raises(IngestError, match="line 2"):
+                ingest_text(line() + "\n" + line(candidate_id="c2", **bad))
 
     def test_empty_input(self):
         with pytest.raises(IngestError, match="no problems"):

@@ -327,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for evaluation (results are identical at any level)",
+        help="worker processes for evaluate and curve, at most the CPU count "
+        "(results are identical at any level)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 

@@ -5,6 +5,8 @@ The FLOPs model charges, per transformer layer, the dense projections
 LM head (2dV per generated token), and omits smaller terms (normalization,
 activations, positional encodings). Counts are exact integers internally;
 totals at realistic scales exceed 2^53, where floats would silently round.
+A batch is priced in closed form from its token sums (sum of t, t^2 and
+t_in*t_out), which equals the per-candidate formulas summed, exactly.
 
 Latency is never modeled: measured wall-clock seconds are ingested as a
 table and looked up by (role, N, M), with missing keys an error rather than
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import mul
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -186,15 +189,50 @@ def flops_disc_verification(cfg: ModelConfig, t_in: int) -> FlopsBreakdown:
     return flops_prefill(cfg, t_in) + flops_decode(cfg, t_in, 1, head_vocab=1)
 
 
-def _verification_out(stats: TokenStats, fallback: Optional[int]) -> int:
-    if stats.verification_out_tokens is not None:
-        return stats.verification_out_tokens
+def _batch_generation(
+    cfg: ModelConfig,
+    t_in: Sequence[int],
+    t_out: Sequence[int],
+    head_vocab: Optional[int] = None,
+) -> FlopsBreakdown:
+    """flops_prefill plus flops_decode summed over paired (t_in, t_out)
+    counts, in closed form over the batch's token moments: sums of t_in,
+    t_out, t_in^2, t_in*t_out and t_out^2.
+
+    Each candidate's t(t+1)/2 and t(t-1)/2 is an integer, so halving the
+    summed moments is exact.
+    """
+    s_in, s_out = sum(t_in), sum(t_out)
+    s_in2 = sum(map(mul, t_in, t_in))
+    s_in_out = sum(map(mul, t_in, t_out))
+    s_out2 = sum(map(mul, t_out, t_out))
+    width = cfg.V if head_vocab is None else head_vocab
+    projections = (8 * cfg.d**2 + 4 * cfg.d * cfg.m) * cfg.L * (s_in + s_out)
+    prefill = 4 * cfg.d * cfg.L * ((s_in2 + s_in) // 2)
+    decode = 4 * cfg.d * cfg.L * (s_in_out + (s_out2 - s_out) // 2)
+    lm_head = 2 * cfg.d * width * s_out
+    return FlopsBreakdown(
+        projections=projections,
+        attention_prefill=prefill,
+        attention_decode=decode,
+        lm_head=lm_head,
+        total=projections + prefill + decode + lm_head,
+    )
+
+
+def _verification_outs(
+    stats: Sequence[TokenStats], fallback: Optional[int]
+) -> list[int]:
+    outs = [st.verification_out_tokens for st in stats]
+    if None not in outs:
+        return outs
     if fallback is None:
         raise ValueError(
             "gen mode needs verification_out_tokens per candidate "
             "or a constant verification output length"
         )
-    return fallback
+    _check_tokens(t_out=fallback)
+    return [fallback if t is None else t for t in outs]
 
 
 def pipeline_breakdown(
@@ -211,37 +249,34 @@ def pipeline_breakdown(
     verification per candidate; "gen" adds m_verifications full verifier
     generations per candidate, each reading the solution and emitting
     verification_out_tokens (per-candidate field, or the constant argument).
+
+    Equal to summing flops_generation and flops_disc_verification over the
+    candidates, but computed from per-batch token sums.
     """
     if mode not in PIPELINE_MODES:
         raise ValueError(f"unknown pipeline mode: {mode!r}")
     if mode == "gen" and m_verifications < 0:
         raise ValueError(f"invalid verification count: {m_verifications}")
 
-    generation = ZERO_FLOPS
-    for st in stats:
-        generation = generation + flops_generation(
-            solver_cfg, st.prompt_tokens, st.output_tokens
-        )
-
+    generation = _batch_generation(
+        solver_cfg,
+        [st.prompt_tokens for st in stats],
+        [st.output_tokens for st in stats],
+    )
     verification = ZERO_FLOPS
-    if mode == "disc":
+    if mode == "disc" or (mode == "gen" and m_verifications > 0):
         if verifier_cfg is None:
             raise ValueError("verifier config required")
-        for st in stats:
-            verification = verification + flops_disc_verification(
-                verifier_cfg, st.solution_tokens
+        solutions = [st.solution_tokens for st in stats]
+        if mode == "disc":
+            verification = _batch_generation(
+                verifier_cfg, solutions, [1] * len(solutions), head_vocab=1
             )
-    elif mode == "gen" and m_verifications > 0:
-        if verifier_cfg is None:
-            raise ValueError("verifier config required")
-        for st in stats:
-            one_pass = flops_generation(
-                verifier_cfg,
-                st.solution_tokens,
-                _verification_out(st, verification_out_tokens),
-            )
-            verification = verification + one_pass.scaled(m_verifications)
-
+        else:
+            verification = _batch_generation(
+                verifier_cfg, solutions,
+                _verification_outs(stats, verification_out_tokens),
+            ).scaled(m_verifications)
     return {"generation": generation, "verification": verification}
 
 

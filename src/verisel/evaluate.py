@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -211,6 +212,11 @@ class _PoolArrays:
         return self.correct[min(present, key=_order)[2]] if present else 0.0
 
 
+def _workers(jobs: int, tasks: int) -> int:
+    """Worker processes for tasks: at most jobs, the CPU count and tasks."""
+    return min(jobs, os.cpu_count() or 1, tasks)
+
+
 def _eval_problem(args: tuple[Problem, EvalConfig, bool]) -> np.ndarray:
     """Per-draw 0/1 accuracy vector for one problem."""
     problem, cfg, exhaustive = args
@@ -263,9 +269,10 @@ def bootstrap_accuracy(
             raise ValueError("slate too large")
 
     work = [(p, cfg, exhaustive) for p in problems]
-    if jobs > 1 and len(problems) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(work) // (jobs * 4))
+    workers = _workers(jobs, len(work))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(work) // (workers * 4))
             rows = list(pool.map(_eval_problem, work, chunksize=chunk))
     else:
         rows = [_eval_problem(w) for w in work]
@@ -327,6 +334,20 @@ def pass_at_n(problem: Problem, n: int) -> float:
     return 1.0 - math.comb(k - c, n) / math.comb(k, n)
 
 
+# A curve's problems, in each of its worker processes; set by the pool's
+# initializer, so they are sent once per worker instead of once per point.
+_curve_problems: Sequence[Problem] = ()
+
+
+def _hold_curve_problems(problems: Sequence[Problem]) -> None:
+    global _curve_problems
+    _curve_problems = problems
+
+
+def _curve_point(cfg: EvalConfig) -> BootstrapReport:
+    return bootstrap_accuracy(_curve_problems, cfg, jobs=1)
+
+
 def budget_curve(
     problems: Sequence[Problem],
     methods: Sequence[str],
@@ -348,6 +369,10 @@ def budget_curve(
     latency budget is looked up from measured wall-clock data at (N, M)
     exactly; absent measurements are errors. gpv expands over m_grid; other
     methods report m=0.
+
+    Each problem's pipeline FLOPs are computed once per (mode, M) and
+    reused across the N grid. With jobs > 1 the points are split across
+    one process pool, which receives the problems once per worker.
     """
     if budget_mode not in ("flops", "latency"):
         raise ValueError(f"unknown budget mode: {budget_mode!r}")
@@ -356,53 +381,72 @@ def budget_curve(
     if budget_mode == "flops" and solver_cfg is None:
         raise ValueError("flops budget needs a solver config")
     base = cfg if cfg is not None else EvalConfig(n=1)
+    pipeline_costs: dict[tuple[str, int], list[int]] = {}
 
     def point_budget(method: str, n: int, m: int) -> float:
         mode = _PIPELINE_MODE[method]
         if budget_mode == "latency":
             return latency_lookup(latency_table, mode, n, m)
-        per_problem = []
-        for p in problems:
-            stats = [c.token_stats for c in p.candidates]
-            total = pipeline_flops(
-                solver_cfg, verifier_cfg, stats, mode,
-                m_verifications=m,
-                verification_out_tokens=verification_out_tokens,
-            )
-            per_problem.append(n * total / len(stats))
+        if (mode, m) not in pipeline_costs:
+            pipeline_costs[mode, m] = [
+                pipeline_flops(
+                    solver_cfg, verifier_cfg,
+                    [c.token_stats for c in p.candidates], mode,
+                    m_verifications=m,
+                    verification_out_tokens=verification_out_tokens,
+                )
+                for p in problems
+            ]
+        per_problem = [
+            n * total / len(p.candidates)
+            for p, total in zip(problems, pipeline_costs[mode, m])
+        ]
         return float(np.mean(per_problem))
 
     # Every budget is worked out, and checked, before any slate is drawn.
     plan = []
+    ns = sorted(n_grid)
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown selection method: {method!r}")
         for m in m_grid if method == "gpv" else (0,):
-            budgets = [(n, point_budget(method, n, m)) for n in sorted(n_grid)]
-            values = [b for _, b in budgets]
-            if any(b1 <= b0 for b0, b1 in zip(values, values[1:])):
+            budgets = [point_budget(method, n, m) for n in ns]
+            if any(b1 <= b0 for b0, b1 in zip(budgets, budgets[1:])):
                 raise ValueError(
-                    f"budget not strictly increasing for {method!r}: {values}"
+                    f"budget not strictly increasing for {method!r}: {budgets}"
                 )
-            plan.append((method, m, budgets))
+            plan += [(method, m, n, b) for n, b in zip(ns, budgets)]
 
-    points = []
-    for method, m, budgets in plan:
-        for n, budget in budgets:
-            run = dataclasses.replace(
-                base, n=n, method=method,
-                m_verifications=m if method == "gpv" else None,
-            )
-            report = bootstrap_accuracy(problems, run, jobs=jobs)
-            points.append(
-                BudgetPoint(
-                    method=method, n=n, m=m, budget=budget,
-                    accuracy=report.mean,
-                    ci_low=report.ci_low,
-                    ci_high=report.ci_high,
-                )
-            )
-    return points
+    runs = [
+        dataclasses.replace(
+            base, n=n, method=method,
+            m_verifications=m if method == "gpv" else None,
+        )
+        for method, m, n, _ in plan
+    ]
+    workers = _workers(jobs, len(runs))
+    if workers > 1:
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_hold_curve_problems,
+            initargs=(problems,),
+        )
+        try:
+            reports = list(pool.map(_curve_point, runs))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        reports = [bootstrap_accuracy(problems, run) for run in runs]
+
+    return [
+        BudgetPoint(
+            method=method, n=n, m=m, budget=budget,
+            accuracy=report.mean,
+            ci_low=report.ci_low,
+            ci_high=report.ci_high,
+        )
+        for (method, m, n, budget), report in zip(plan, reports)
+    ]
 
 
 CurvePoint = Union[BudgetPoint, tuple[float, float]]

@@ -137,6 +137,21 @@ class TestCurve:
         ])
         assert code == 2 and "error: no measurement" in err
 
+    def test_failed_point_reports_alike_at_any_jobs(self, capsys, tmp_path):
+        data = simulate(capsys, tmp_path / "pools.jsonl")
+        results = [
+            run(capsys, [
+                "--jobs", jobs, "curve", "-i", data, "--methods", "sc,wsc",
+                "--n-grid", "1,9", "--solver-preset", "qwen2.5-32b",
+                "--verifier-preset", "qwen2.5-1.5b", "--draws", "5",
+            ])
+            for jobs in ("1", "2")
+        ]
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert code == 2 and out == ""
+        assert "error: slate too large: n=9 > pool 8" in err
+
     def test_flops_curve_needs_solver(self, capsys, tmp_path):
         data = simulate(capsys, tmp_path / "pools.jsonl")
         code, _, err = run(capsys, [

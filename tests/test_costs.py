@@ -1,6 +1,8 @@
 """FLOPs accounting and latency lookup."""
 
+import dataclasses
 import json
+import random
 
 import pytest
 
@@ -221,6 +223,133 @@ class TestPipeline:
         parts = pipeline_breakdown(UNIT, UNIT, [], "disc")
         assert parts["generation"].total == 0
         assert parts["verification"].total == 0
+
+
+def loop_breakdown(solver, verifier, stats, mode, m=0, ver_out=None):
+    """pipeline_breakdown as a per-candidate sum of FlopsBreakdowns: the
+    loop the closed form replaced, errors included."""
+    if mode not in ("sc", "disc", "gen"):
+        raise ValueError(f"unknown pipeline mode: {mode!r}")
+    if mode == "gen" and m < 0:
+        raise ValueError(f"invalid verification count: {m}")
+    zero = FlopsBreakdown(0, 0, 0, 0, 0)
+    generation = zero
+    for st in stats:
+        generation += flops_generation(solver, st.prompt_tokens, st.output_tokens)
+    verification = zero
+    if mode == "disc" or (mode == "gen" and m > 0):
+        if verifier is None:
+            raise ValueError("verifier config required")
+        for st in stats:
+            if mode == "disc":
+                verification += flops_disc_verification(verifier, st.solution_tokens)
+                continue
+            out = st.verification_out_tokens
+            if out is None:
+                if ver_out is None:
+                    raise ValueError(
+                        "gen mode needs verification_out_tokens per candidate "
+                        "or a constant verification output length"
+                    )
+                out = ver_out
+            verification += flops_generation(
+                verifier, st.solution_tokens, out
+            ).scaled(m)
+    return {"generation": generation, "verification": verification}
+
+
+def random_batch(rng, size, ver_out_share):
+    """Mixed prompt, output and solution lengths; a ver_out_share of the
+    candidates carry their own verification output length."""
+    batch = []
+    for _ in range(size):
+        output = rng.randrange(0, 400)
+        batch.append(TokenStats(
+            prompt_tokens=rng.randrange(0, 300),
+            output_tokens=output,
+            solution_tokens=rng.randrange(0, output + 1),
+            verification_out_tokens=(
+                rng.randrange(0, 200) if rng.random() < ver_out_share else None
+            ),
+        ))
+    return batch
+
+
+def random_model(rng):
+    return ModelConfig(d=rng.randrange(1, 64), m=rng.randrange(1, 256),
+                       L=rng.randrange(1, 8), V=rng.randrange(1, 1000))
+
+
+class TestClosedForm:
+    """The closed form over token sums equals the per-candidate loop."""
+
+    def test_random_batches(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            solver, verifier = random_model(rng), random_model(rng)
+            batch = random_batch(rng, rng.randrange(0, 40), rng.choice((0, 0.5, 1)))
+            ver_out = rng.choice((None, 0, 1, rng.randrange(2, 300)))
+            for mode, m in (("sc", 0), ("disc", 0), ("gen", 0), ("gen", 1),
+                            ("gen", 3)):
+                if mode == "gen" and m and ver_out is None and any(
+                    st.verification_out_tokens is None for st in batch
+                ):
+                    continue  # an error case, covered below
+                args = (solver, verifier, batch, mode, m, ver_out)
+                assert pipeline_breakdown(*args) == loop_breakdown(*args)
+
+    def test_verification_output_per_candidate_and_constant(self):
+        rng = random.Random(7)
+        verifier = ModelConfig(d=5, m=9, L=3, V=17)
+        own = random_batch(rng, 25, ver_out_share=1)
+        bare = [dataclasses.replace(st, verification_out_tokens=None) for st in own]
+        for m in (0, 1, 3):
+            args = (UNIT, verifier, own, "gen", m)
+            assert pipeline_breakdown(*args) == loop_breakdown(*args)
+            # each candidate's own length wins over the constant
+            assert pipeline_breakdown(*args, 99) == pipeline_breakdown(*args)
+            args = (UNIT, verifier, bare, "gen", m, 42)
+            assert pipeline_breakdown(*args) == loop_breakdown(*args)
+
+    def test_empty_batch(self):
+        for mode, m in (("sc", 0), ("disc", 0), ("gen", 0), ("gen", 1), ("gen", 3)):
+            args = (UNIT, UNIT, [], mode, m)
+            parts = pipeline_breakdown(*args)
+            assert parts == loop_breakdown(*args)
+            assert parts["generation"].total == parts["verification"].total == 0
+
+    def test_exact_beyond_float_precision(self):
+        solver = MODEL_PRESETS["qwen2.5-32b"]
+        verifier = MODEL_PRESETS["qwen2.5-1.5b"]
+        batch = stats(64, prompt=2000, output=32000, solution=30000, ver_out=8000)
+        args = (solver, verifier, batch, "gen", 3)
+        parts = pipeline_breakdown(*args)
+        assert parts == loop_breakdown(*args)
+        assert parts["generation"].total > 2**53
+
+    @pytest.mark.parametrize("args", [
+        (UNIT, UNIT, stats(2), "oracle", 0, None),
+        (UNIT, UNIT, stats(2), "gen", -1, 4),
+        (UNIT, None, stats(2), "disc", 0, None),
+        (UNIT, None, [], "disc", 0, None),
+        (UNIT, None, stats(2), "gen", 2, 4),
+        (UNIT, UNIT, stats(2), "gen", 2, None),
+        (UNIT, UNIT, stats(2), "gen", 2, -1),
+        (UNIT, UNIT, stats(2), "gen", 2, 2.5),
+    ])
+    def test_errors_match_the_loop(self, args):
+        with pytest.raises(ValueError) as loop_error:
+            loop_breakdown(*args)
+        with pytest.raises(ValueError) as closed_error:
+            pipeline_breakdown(*args)
+        assert str(closed_error.value) == str(loop_error.value)
+
+    def test_unused_constant_is_not_checked(self):
+        # as in the loop, the constant is read only for candidates without
+        # their own verification output length
+        for batch in (stats(2, ver_out=5), []):
+            args = (UNIT, UNIT, batch, "gen", 2, -1)
+            assert pipeline_breakdown(*args) == loop_breakdown(*args)
 
 
 class TestLatency:

@@ -26,12 +26,45 @@ from verisel import (
     select_answer,
     slate_rng,
 )
+import verisel.evaluate as evaluate_module
 from verisel.evaluate import _eval_problem
 
 from oracles import enumeration_pass_at_n
 from pools import random_problem
 
 METHODS = ("sc", "bon", "wsc", "pv", "gpv")
+
+
+@pytest.fixture
+def executors(monkeypatch):
+    """Worker counts of the process pools opened, with a stand-in pool that
+    runs its tasks in this process; the CPU count reads 3."""
+    opened = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            opened.append(max_workers)
+            if initializer is not None:
+                initializer(*initargs)
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.shutdown()
+
+    monkeypatch.setattr("verisel.evaluate.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(
+        "verisel.evaluate._curve_problems", evaluate_module._curve_problems
+    )
+    monkeypatch.setattr("verisel.evaluate.os.cpu_count", lambda: 3)
+    return opened
 
 
 def correct_of(problem):
@@ -220,6 +253,21 @@ class TestBootstrap:
         serial = bootstrap_accuracy(problems, cfg, jobs=1)
         assert bootstrap_accuracy(problems, cfg, jobs=3) == serial
         assert bootstrap_accuracy(problems, cfg, jobs=2) == serial
+
+    def test_workers_capped_at_cpus_and_problems(self, executors, monkeypatch):
+        rng = np.random.default_rng(37)
+        problems = self.problems(rng, count=6)
+        cfg = EvalConfig(n=3, method="wsc", draws=10, seed=5)
+        serial = bootstrap_accuracy(problems, cfg, jobs=1)
+        assert executors == []
+        assert bootstrap_accuracy(problems, cfg, jobs=10**6) == serial
+        assert bootstrap_accuracy(problems, cfg, jobs=2) == serial
+        assert bootstrap_accuracy(problems[:2], cfg, jobs=3).per_problem == \
+            serial.per_problem[:2]
+        assert executors == [3, 2, 2]
+        monkeypatch.setattr("verisel.evaluate.os.cpu_count", lambda: None)
+        assert bootstrap_accuracy(problems, cfg, jobs=4) == serial
+        assert executors == [3, 2, 2]
 
     def test_replacement_allows_oversized_slates(self):
         rng = np.random.default_rng(38)
@@ -553,6 +601,58 @@ class TestBudgetCurve:
             [1.0, 3.0, 9.0]
         assert [pt.budget for pt in points if pt.method == "wsc"] == \
             pytest.approx([1.1, 3.2, 9.4])
+
+    def test_parallel_matches_serial(self):
+        problems = self.problems()
+        base = EvalConfig(n=1, draws=20, seed=3)
+        flops = dict(methods=METHODS, n_grid=(1, 2, 4), m_grid=(1, 2),
+                     solver_cfg=SOLVER, verifier_cfg=VERIFIER, cfg=base,
+                     verification_out_tokens=7)
+        table = LatencyTable(entries={
+            (role, n, m): 1.0 + n + m
+            for role, m in (("generation", 0), ("disc_verify", 0),
+                            ("gen_verify", 2))
+            for n in (1, 2, 4)
+        })
+        latency = dict(methods=METHODS, n_grid=(1, 2, 4), m_grid=(2,),
+                       budget_mode="latency", latency_table=table, cfg=base)
+        for kwargs in (flops, latency):
+            serial = budget_curve(problems, jobs=1, **kwargs)
+            assert budget_curve(problems, jobs=2, **kwargs) == serial
+
+    def test_prices_each_mode_and_m_once(self, monkeypatch):
+        pipeline_flops = evaluate_module.pipeline_flops
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append((args[3], kwargs["m_verifications"]))
+            return pipeline_flops(*args, **kwargs)
+
+        monkeypatch.setattr("verisel.evaluate.pipeline_flops", counted)
+        problems = self.problems()
+        points = budget_curve(
+            problems, METHODS, n_grid=(1, 2, 4), m_grid=(1, 2),
+            solver_cfg=SOLVER, verifier_cfg=VERIFIER,
+            cfg=EvalConfig(n=1, draws=5), verification_out_tokens=7,
+        )
+        assert len(points) == 18
+        # sc; disc for bon, wsc and pv; gen at each M
+        assert sorted(set(calls)) == [("disc", 0), ("gen", 1), ("gen", 2), ("sc", 0)]
+        assert len(calls) == len(problems) * 4
+
+    def test_one_pool_per_curve(self, executors):
+        problems = self.problems()
+        kwargs = dict(methods=("sc", "gpv"), n_grid=(1, 2), m_grid=(1, 2),
+                      solver_cfg=SOLVER, verifier_cfg=VERIFIER,
+                      cfg=EvalConfig(n=1, draws=10), verification_out_tokens=7)
+        serial = budget_curve(problems, jobs=1, **kwargs)
+        assert executors == []
+        assert evaluate_module._curve_problems == ()  # nothing held in process
+        assert budget_curve(problems, jobs=10**6, **kwargs) == serial
+        assert budget_curve(problems, ["sc"], n_grid=(1, 2), jobs=3,
+                            solver_cfg=SOLVER, cfg=kwargs["cfg"]) == serial[:2]
+        # one pool per curve, of at most the CPU count and the point count
+        assert executors == [3, 2]
 
     @pytest.fixture
     def evaluations(self, monkeypatch):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 # Cluster key assigned to candidates whose answer extraction failed
 # (empty answer_raw / answer_key). Such clusters are never selectable.
@@ -101,7 +101,13 @@ class Candidate:
 
 @dataclass(frozen=True)
 class Problem:
-    """A pool of candidate solutions for one problem."""
+    """A pool of candidate solutions for one problem.
+
+    Raises IngestError on the first broken invariant, in order: disc_score,
+    then gen_scores, on all candidates or none; one label per answer among
+    labeled candidates; unique candidate_ids; labels on all or none; one
+    gen_scores length M. Nothing downstream checks these again.
+    """
 
     problem_id: str
     candidates: tuple[Candidate, ...]
@@ -109,18 +115,33 @@ class Problem:
     def __post_init__(self) -> None:
         if not isinstance(self.candidates, tuple):
             object.__setattr__(self, "candidates", tuple(self.candidates))
-        ids = [c.candidate_id for c in self.candidates]
+        cands = self.candidates
+        for name in ("disc_score", "gen_scores"):
+            present = sum(getattr(c, name) is not None for c in cands)
+            if 0 < present < len(cands):
+                raise IngestError(
+                    f"problem {self.problem_id!r}: {name} present on {present} "
+                    f"of {len(cands)} candidates (must be all or none)"
+                )
+        labels = [c.correct for c in cands]
+        seen: dict[str, bool] = {}
+        for c, label in zip(cands, labels):
+            if label is not None and seen.setdefault(c.cluster_key, label) != label:
+                raise IngestError(
+                    f"problem {self.problem_id!r}: answer {c.cluster_key!r} "
+                    "graded both correct and incorrect"
+                )
+        ids = [c.candidate_id for c in cands]
         if len(set(ids)) != len(ids):
             raise IngestError(
                 f"problem {self.problem_id!r}: duplicate candidate_ids"
             )
-        labeled = [c.correct is not None for c in self.candidates]
-        if any(labeled) and not all(labeled):
+        if 0 < labels.count(None) < len(cands):
             raise IngestError(
                 f"problem {self.problem_id!r}: mixed labeling "
                 "(all candidates must carry ground-truth labels, or none)"
             )
-        lengths = {len(c.gen_scores) for c in self.candidates if c.gen_scores}
+        lengths = {len(c.gen_scores) for c in cands if c.gen_scores}
         if len(lengths) > 1:
             raise IngestError(
                 f"problem {self.problem_id!r}: inconsistent M "
@@ -184,6 +205,14 @@ def canonicalize_answer(raw: str, mode: str = "exact") -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _sum_in_order(values: Iterable[float]) -> float:
+    """Left-to-right float sum, as bincount adds (3.12's sum() compensates)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def cluster_by_answer(problem: Problem) -> list[AnswerCluster]:
     """Partition a problem's candidates into clusters by canonical answer.
 
@@ -193,14 +222,19 @@ def cluster_by_answer(problem: Problem) -> list[AnswerCluster]:
     """
     if not problem.candidates:
         raise EmptyPoolError(f"problem {problem.problem_id!r}: empty pool")
+    return _clusters_of(problem.candidates)
+
+
+def _clusters_of(candidates: Sequence[Candidate]) -> list[AnswerCluster]:
+    """cluster_by_answer's body, for candidates not wrapped in a Problem."""
     members: dict[str, list[Candidate]] = {}
-    for cand in problem.candidates:
+    for cand in candidates:
         members.setdefault(cand.cluster_key, []).append(cand)
 
-    has_scores = all(c.disc_score is not None for c in problem.candidates)
+    scored = all(c.disc_score is not None for c in candidates)
     clusters = []
     for key, cands in members.items():
-        total = sum(c.disc_score for c in cands) if has_scores else None
+        total = _sum_in_order(c.disc_score for c in cands) if scored else None
         clusters.append(
             AnswerCluster(
                 answer_key=key,

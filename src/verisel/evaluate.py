@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import NO_ANSWER_KEY, EmptyPoolError, IngestError, Problem
+from .core import NO_ANSWER_KEY, EmptyPoolError, Problem
 from .costs import LatencyTable, ModelConfig, latency_lookup, pipeline_flops
 from .selection import (
     DEFAULT_GPV_ALPHA,
@@ -44,6 +44,7 @@ from .selection import (
 )
 
 _PIPELINE_MODE = {"sc": "sc", "bon": "disc", "wsc": "disc", "pv": "disc", "gpv": "gen"}
+_MAX_EXHAUSTIVE_SLATES = 10**6  # per problem, for bootstrap_accuracy
 
 
 @dataclass(frozen=True)
@@ -153,22 +154,14 @@ class _PoolArrays:
         if self.k == 0:
             raise EmptyPoolError(f"problem {problem.problem_id!r}: empty pool")
 
-        keys = sorted({c.cluster_key for c in cands})
+        if not problem.labeled:
+            raise ValueError("labels required")
+        graded = {c.cluster_key: float(c.correct) for c in cands}  # one per key
+        keys = sorted(graded)
         code_of = {key: i for i, key in enumerate(keys)}
         self.codes = np.array([code_of[c.cluster_key] for c in cands])
         self.none_code = code_of.get(NO_ANSWER_KEY, -1)
-
-        graded: dict[int, bool] = {}
-        for c in cands:
-            if c.correct is None:
-                raise ValueError("labels required")
-            code = code_of[c.cluster_key]
-            if graded.setdefault(code, c.correct) != c.correct:
-                raise IngestError(
-                    f"problem {problem.problem_id!r}: answer "
-                    f"{c.cluster_key!r} graded both correct and incorrect"
-                )
-        self.correct = [float(graded[code]) for code in range(len(keys))]
+        self.correct = [graded[key] for key in keys]
 
         self.rank = self.weights = None
         if cfg.method == "bon":
@@ -255,7 +248,7 @@ def bootstrap_accuracy(
 
     With exhaustive=True, draws and seed are ignored and every C(k, n) slate
     is scored once; pool sizes must then match across problems so draws
-    stay aligned.
+    stay aligned, and C(k, n) may not exceed 10**6.
     """
     if not problems:
         raise ValueError("no problems")
@@ -265,8 +258,12 @@ def bootstrap_accuracy(
             raise ValueError("exhaustive mode enumerates without replacement")
         if len(sizes) != 1:
             raise ValueError("exhaustive mode needs equal pool sizes")
-        if cfg.n > sizes.pop():
+        k = sizes.pop()
+        if cfg.n > k:
             raise ValueError("slate too large")
+        if math.comb(k, cfg.n) > _MAX_EXHAUSTIVE_SLATES:
+            raise ValueError(f"exhaustive mode: C({k}, {cfg.n}) slates per "
+                             f"problem, more than {_MAX_EXHAUSTIVE_SLATES:,}")
 
     work = [(p, cfg, exhaustive) for p in problems]
     workers = _workers(jobs, len(work))
@@ -380,6 +377,9 @@ def budget_curve(
         raise ValueError("latency budget needs a latency table")
     if budget_mode == "flops" and solver_cfg is None:
         raise ValueError("flops budget needs a solver config")
+    for p in problems:
+        if not p.candidates:
+            raise EmptyPoolError(f"problem {p.problem_id!r}: empty pool")
     base = cfg if cfg is not None else EvalConfig(n=1)
     pipeline_costs: dict[tuple[str, int], list[int]] = {}
 

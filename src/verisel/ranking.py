@@ -48,16 +48,15 @@ class ScoredGroup:
 
 def group_from_problem(problem: Problem) -> ScoredGroup:
     """Build a ScoredGroup from a labeled, scored pool."""
-    scores = []
-    labels = []
-    for c in problem.candidates:
-        if c.correct is None:
-            raise ValueError("labels required")
-        if c.disc_score is None:
-            raise ValueError("scores required")
-        scores.append(c.disc_score)
-        labels.append(c.correct)
-    return ScoredGroup(scores=tuple(scores), labels=tuple(labels))
+    cands = problem.candidates  # labeled and scored uniformly, as Problem checks
+    if cands and cands[0].correct is None:
+        raise ValueError("labels required")
+    if cands and cands[0].disc_score is None:
+        raise ValueError("scores required")
+    return ScoredGroup(
+        scores=tuple(c.disc_score for c in cands),
+        labels=tuple(c.correct for c in cands),
+    )
 
 
 def filter_learnable_groups(

@@ -2,9 +2,10 @@
 
 One flat line-delimited format serves real data, synthetic data, and test
 fixtures: one JSON object per candidate, grouped by problem_id (contiguous
-or not). Ingestion canonicalizes answers, validates per-problem invariants,
-and fails loudly with line numbers or problem ids; emission is byte-stable
-so identical inputs produce identical files.
+or not). Ingestion canonicalizes answers and checks each record, failing
+loudly with its line number; the per-problem invariants are checked by
+Problem itself, whose errors name the problem. Emission is byte-stable so
+identical inputs produce identical files.
 """
 
 from __future__ import annotations
@@ -129,30 +130,6 @@ def _candidate_of(lineno: int, record: dict, canon: str) -> Candidate:
         raise IngestError(f"line {lineno}: {exc}") from None
 
 
-def _check_uniform(problem_id: str, candidates: Sequence[Candidate]) -> None:
-    with_disc = sum(c.disc_score is not None for c in candidates)
-    if 0 < with_disc < len(candidates):
-        raise IngestError(
-            f"problem {problem_id!r}: disc_score present on {with_disc} of "
-            f"{len(candidates)} candidates (must be all or none)"
-        )
-    with_gen = sum(c.gen_scores is not None for c in candidates)
-    if 0 < with_gen < len(candidates):
-        raise IngestError(
-            f"problem {problem_id!r}: gen_scores present on {with_gen} of "
-            f"{len(candidates)} candidates (must be all or none)"
-        )
-    labels: dict[str, bool] = {}
-    for c in candidates:
-        if c.correct is None:
-            continue
-        if labels.setdefault(c.cluster_key, c.correct) != c.correct:
-            raise IngestError(
-                f"problem {problem_id!r}: answer {c.cluster_key!r} graded "
-                "both correct and incorrect"
-            )
-
-
 def ingest(source: Source, canon: str = "exact") -> list[Problem]:
     """Read candidate records into validated Problems.
 
@@ -181,13 +158,10 @@ def ingest(source: Source, canon: str = "exact") -> list[Problem]:
 
     if not pools:
         raise IngestError("no problems")
-    problems = []
-    for problem_id, candidates in pools.items():
-        _check_uniform(problem_id, candidates)
-        problems.append(
-            Problem(problem_id=problem_id, candidates=tuple(candidates))
-        )
-    return problems
+    return [
+        Problem(problem_id=problem_id, candidates=tuple(candidates))
+        for problem_id, candidates in pools.items()
+    ]
 
 
 def ingest_stats(problems: Sequence[Problem]) -> IngestStats:
@@ -228,8 +202,8 @@ def write_records(problems: Iterable[Problem], stream: IO[str]) -> None:
     """Emit problems in the ingestible line format, full float precision."""
     for problem in problems:
         for candidate in problem.candidates:
-            json.dump(record_of(problem.problem_id, candidate), stream)
-            stream.write("\n")
+            record = record_of(problem.problem_id, candidate)
+            stream.write(json.dumps(record) + "\n")
 
 
 def records_text(problems: Iterable[Problem]) -> str:

@@ -33,6 +33,8 @@ from .core import (
     Candidate,
     EmptyPoolError,
     Problem,
+    _clusters_of,
+    _sum_in_order,
     cluster_by_answer,
 )
 
@@ -61,12 +63,9 @@ def candidate_scores(
 ) -> dict[str, float]:
     """Map candidate_id to transformed disc_score; error if any is missing."""
     fn = _transform_fn(transform)
-    out = {}
-    for c in candidates:
-        if c.disc_score is None:
-            raise ValueError("scores required")
-        out[c.candidate_id] = fn(c.disc_score)
-    return out
+    if any(c.disc_score is None for c in candidates):
+        raise ValueError("scores required")
+    return {c.candidate_id: fn(c.disc_score) for c in candidates}
 
 
 def candidate_gen_scores(
@@ -75,12 +74,9 @@ def candidate_gen_scores(
 ) -> dict[str, tuple[float, ...]]:
     """Map candidate_id to transformed gen_scores; error if any is missing."""
     fn = _transform_fn(transform)
-    out = {}
-    for c in candidates:
-        if c.gen_scores is None:
-            raise ValueError("scores required")
-        out[c.candidate_id] = tuple(fn(s) for s in c.gen_scores)
-    return out
+    if any(c.gen_scores is None for c in candidates):
+        raise ValueError("scores required")
+    return {c.candidate_id: tuple(map(fn, c.gen_scores)) for c in candidates}
 
 
 def _transform_fn(transform: str):
@@ -171,7 +167,7 @@ def _gen_means(
     gen_scores: Mapping[str, Sequence[float]], m: int
 ) -> dict[str, float]:
     """Each candidate's gpv score r~_i: the mean of its first m pass scores."""
-    return {cid: sum(scores[:m]) / m for cid, scores in gen_scores.items()}
+    return {cid: _sum_in_order(s[:m]) / m for cid, s in gen_scores.items()}
 
 
 def _bon_ranking(
@@ -231,18 +227,16 @@ def _cluster_sums(
     scores: Optional[Mapping[str, float]],
 ) -> list[float]:
     """Summed member score per cluster, from a score map or stored aggregates."""
-    out = []
-    for cl in clusters:
-        if scores is not None:
-            try:
-                total = sum(map(scores.__getitem__, cl.member_ids))
-            except KeyError as exc:
-                raise ValueError("scores required") from exc
-        elif cl.sum_score is not None:
-            total = cl.sum_score
-        else:
-            raise ValueError("scores required")
-        out.append(total)
+    try:
+        out = [
+            cl.sum_score if scores is None
+            else _sum_in_order(map(scores.__getitem__, cl.member_ids))
+            for cl in clusters
+        ]
+    except KeyError as exc:
+        raise ValueError("scores required") from exc
+    if None in out:
+        raise ValueError("scores required")
     return out
 
 
@@ -280,10 +274,8 @@ def select_bon(
         raise EmptyPoolError("empty pool")
     if scores is None:
         scores = candidate_scores(candidates, transform="raw")
-    else:
-        missing = [c.candidate_id for c in candidates if c.candidate_id not in scores]
-        if missing:
-            raise ValueError("scores required")
+    elif any(c.candidate_id not in scores for c in candidates):
+        raise ValueError("scores required")
 
     ranked = _bon_ranking(candidates, scores)
     if not ranked:
@@ -292,7 +284,7 @@ def select_bon(
     tied = [c for c in ranked if scores[c.candidate_id] == top_score]
     winner = tied[0] if rng is None else tied[int(rng.integers(len(tied)))]
 
-    clusters = cluster_by_answer(Problem(problem_id="", candidates=tuple(candidates)))
+    clusters = _clusters_of(candidates)
     diagnostics = tuple(
         ClusterDiagnostic(
             answer_key=cl.answer_key,

@@ -1,5 +1,8 @@
 """Domain types, canonicalization, and clustering."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from verisel import (
     TokenStats,
     canonicalize_answer,
     cluster_by_answer,
+    ingest,
 )
 from pools import random_problem
 
@@ -145,6 +149,50 @@ class TestProblem:
         p = make_problem(["a", "b"])
         assert len(p) == 2 and not p.labeled
 
+    @pytest.mark.parametrize("records, message", [
+        (
+            [{"answer": "a", "disc_score": 0.5}, {"answer": "a"}],
+            "problem 'q': disc_score present on 1 of 2 candidates "
+            "(must be all or none)",
+        ),
+        (
+            [{"answer": "a"}, {"answer": "b", "gen_scores": [0.1]},
+             {"answer": "b"}],
+            "problem 'q': gen_scores present on 1 of 3 candidates "
+            "(must be all or none)",
+        ),
+        (
+            # the unlabeled middle candidate is skipped, not a conflict
+            [{"answer": "a", "correct": True}, {"answer": "a"},
+             {"answer": "a", "correct": False}],
+            "problem 'q': answer 'a' graded both correct and incorrect",
+        ),
+    ], ids=["partial-disc", "partial-gen", "graded-both"])
+    def test_rejected_as_ingest_rejects(self, records, message):
+        """A pool built in code fails with exactly ingest's message."""
+        records = [
+            {"problem_id": "q", "candidate_id": f"c{i}", **r}
+            for i, r in enumerate(records)
+        ]
+        with pytest.raises(IngestError) as from_file:
+            ingest(io.StringIO("\n".join(map(json.dumps, records))))
+        with pytest.raises(IngestError) as from_code:
+            Problem(
+                problem_id="q",
+                candidates=tuple(
+                    Candidate(
+                        candidate_id=r["candidate_id"],
+                        answer_raw=r["answer"],
+                        answer_key=r["answer"],
+                        correct=r.get("correct"),
+                        disc_score=r.get("disc_score"),
+                        gen_scores=r.get("gen_scores"),
+                    )
+                    for r in records
+                ),
+            )
+        assert str(from_code.value) == str(from_file.value) == message
+
 
 class TestClusterByAnswer:
     def test_counts(self):
@@ -165,8 +213,11 @@ class TestClusterByAnswer:
             cluster_by_answer(Problem(problem_id="q", candidates=()))
 
     def test_aggregates_none_without_full_scores(self):
-        clusters = cluster_by_answer(make_problem(["A", "A"], [0.5, None]))
+        clusters = cluster_by_answer(make_problem(["A", "A"]))
         assert clusters[0].sum_score is None and clusters[0].mean_score is None
+        # a pool scored on some candidates only never reaches clustering
+        with pytest.raises(IngestError, match="must be all or none"):
+            make_problem(["A", "A"], [0.5, None])
 
     def test_partition_property(self):
         """Every candidate lands in exactly one cluster; counts add up."""

@@ -1,5 +1,6 @@
 """Bootstrap evaluation, pass@N, budget curves, crossover detection."""
 
+import builtins
 import dataclasses
 import itertools
 import math
@@ -19,6 +20,7 @@ from verisel import (
     TokenStats,
     bootstrap_accuracy,
     budget_curve,
+    cluster_by_answer,
     crossover_threshold,
     flops_disc_verification,
     flops_generation,
@@ -26,7 +28,10 @@ from verisel import (
     select_answer,
     slate_rng,
 )
+import verisel.core as core_module
 import verisel.evaluate as evaluate_module
+import verisel.selection as selection_module
+from verisel.costs import MODEL_PRESETS
 from verisel.evaluate import _eval_problem
 
 from oracles import enumeration_pass_at_n
@@ -197,6 +202,52 @@ class TestSlateEquivalence:
             assert rows[0] == select_on_slate(problem, np.arange(2), cfg)
 
 
+def compensated_sum(values, start=0):
+    """sum() as Python 3.12 and later compute it over floats (Neumaier)."""
+    values = list(values)
+    if not any(isinstance(v, float) for v in values):
+        return builtins.sum(values, start)
+    total, comp = float(start), 0.0
+    for v in values:
+        t = total + v
+        comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + comp
+
+
+class TestInOrderSums:
+    """Score sums add left to right, as bincount does, whatever sum() does."""
+
+    @pytest.fixture(autouse=True)
+    def compensating_sum(self, monkeypatch):
+        assert compensated_sum([1e16, 1.0, -1e16]) == 1.0
+        for module in (core_module, selection_module):
+            monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+
+    def test_whole_pool_pick_matches_slate(self):
+        # cluster b sums to 0.0 in order, 1.0 with compensation
+        raw = [("b", 1e16), ("b", 1.0), ("b", -1e16), ("a", 0.5)]
+        problem = Problem(
+            problem_id="sums",
+            candidates=tuple(
+                Candidate(candidate_id=f"c{i}", answer_raw=a, answer_key=a,
+                          correct=(a == "a"), disc_score=s)
+                for i, (a, s) in enumerate(raw)
+            ),
+        )
+        for method in ("wsc", "pv"):
+            cfg = EvalConfig(n=4, method=method, transform="raw")
+            (slate,) = _eval_problem((problem, cfg, True))
+            assert slate == 1.0  # the whole-pool slate picks a
+            assert select_answer(problem, method, transform="raw").chosen_answer == "a"
+        sums = {cl.answer_key: cl.sum_score for cl in cluster_by_answer(problem)}
+        assert sums == {"a": 0.5, "b": 0.0}
+
+    def test_gen_means(self):
+        means = selection_module._gen_means({"c0": (1e16, 1.0, -1e16)}, 3)
+        assert means == {"c0": 0.0}
+
+
 class TestBootstrap:
     def problems(self, rng, count=5, labeled=True, **kw):
         return [
@@ -362,17 +413,17 @@ class TestBootstrapErrors:
             bootstrap_accuracy([problem], EvalConfig(n=1, method="gpv", draws=5))
 
     def test_inconsistent_cluster_grading(self):
-        problem = Problem(
-            problem_id="p",
-            candidates=(
-                Candidate(candidate_id="c0", answer_raw="x", answer_key="x",
-                          correct=True, disc_score=1.0),
-                Candidate(candidate_id="c1", answer_raw="x", answer_key="x",
-                          correct=False, disc_score=1.0),
-            ),
-        )
+        # such a pool is rejected when built, so no evaluation can see it
         with pytest.raises(IngestError, match="graded both"):
-            bootstrap_accuracy([problem], EvalConfig(n= 1, draws=5))
+            Problem(
+                problem_id="p",
+                candidates=(
+                    Candidate(candidate_id="c0", answer_raw="x", answer_key="x",
+                              correct=True, disc_score=1.0),
+                    Candidate(candidate_id="c1", answer_raw="x", answer_key="x",
+                              correct=False, disc_score=1.0),
+                ),
+            )
 
     def test_gpv_m_beyond_data(self):
         rng = np.random.default_rng(44)
@@ -467,6 +518,20 @@ class TestExhaustive:
             bootstrap_accuracy(uneven, EvalConfig(n=2), exhaustive=True)
         with pytest.raises(ValueError, match="slate too large"):
             bootstrap_accuracy(problems, EvalConfig(n=7), exhaustive=True)
+
+    def test_slate_count_capped(self, monkeypatch):
+        def enumerate_slates(args):
+            raise AssertionError("slates enumerated past the cap")
+
+        monkeypatch.setattr(evaluate_module, "_eval_problem", enumerate_slates)
+        rng = np.random.default_rng(50)
+        wide = [random_problem(rng, min_size=128, max_size=128, labeled=True)]
+        with pytest.raises(ValueError, match=r"C\(128, 32\)"):
+            bootstrap_accuracy(wide, EvalConfig(n=32), exhaustive=True)
+        # C(23, 11) = 1,352,078 is just past the cap of 10**6
+        narrow = [random_problem(rng, min_size=23, max_size=23, labeled=True)]
+        with pytest.raises(ValueError, match=r"C\(23, 11\)"):
+            bootstrap_accuracy(narrow, EvalConfig(n=11), exhaustive=True)
 
 
 class TestPassAtN:
@@ -690,6 +755,19 @@ class TestBudgetCurve:
                 cfg=EvalConfig(n=1, draws=10),
             )
         assert evaluations == []
+
+    def test_empty_pool_named_before_pricing(self, monkeypatch):
+        priced = []
+        monkeypatch.setattr("verisel.evaluate.pipeline_flops",
+                            lambda *a, **kw: priced.append(a) or 1)
+        empty = Problem(problem_id="e", candidates=())
+        with pytest.raises(EmptyPoolError, match="problem 'e': empty pool"):
+            budget_curve([empty], ["sc"], [1],
+                         solver_cfg=MODEL_PRESETS["qwen2.5-32b"])
+        with pytest.raises(EmptyPoolError, match="problem 'e': empty pool"):
+            budget_curve(self.problems() + [empty], ["sc", "gpv"], [1, 2],
+                         solver_cfg=SOLVER, verifier_cfg=VERIFIER)
+        assert priced == []
 
     def test_argument_validation(self):
         problems = self.problems()

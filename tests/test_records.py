@@ -189,6 +189,35 @@ class TestIngestErrors:
         with pytest.raises(IngestError, match="'p1'.*'x'.*graded both"):
             ingest_text(text)
 
+    @pytest.mark.parametrize("lines, message", [
+        (
+            # partial disc_score, and c1 twice
+            [line(disc_score=1.0), line()],
+            "problem 'p1': disc_score present on 1 of 2 candidates "
+            "(must be all or none)",
+        ),
+        (
+            # partial gen_scores, and M of 1 and 2
+            [line(gen_scores=[1.0]),
+             line(candidate_id="c2", gen_scores=[1.0, 2.0]),
+             line(candidate_id="c3")],
+            "problem 'p1': gen_scores present on 2 of 3 candidates "
+            "(must be all or none)",
+        ),
+        (
+            # answer x graded both ways, and partial disc_score
+            [line(answer="x", correct=True, disc_score=1.0),
+             line(candidate_id="c2", answer="x", correct=False)],
+            "problem 'p1': disc_score present on 1 of 2 candidates "
+            "(must be all or none)",
+        ),
+    ], ids=["disc-and-duplicate", "gen-and-ragged", "conflict-and-disc"])
+    def test_first_of_several_faults(self, lines, message):
+        """Score presence is checked before labels, labels before ids."""
+        with pytest.raises(IngestError) as excinfo:
+            ingest_text("\n".join(lines))
+        assert str(excinfo.value) == message
+
     def test_conflict_after_canonicalization(self):
         text = line(answer="0.5", correct=True) + "\n" + \
             line(candidate_id="c2", answer="1/2", correct=False)

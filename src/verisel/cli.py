@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import fields
 from typing import Optional
 
 import numpy as np
@@ -20,14 +21,21 @@ from .core import TokenStats, VeriselError
 from .costs import (
     BUNDLED_LATENCY,
     MODEL_PRESETS,
+    PIPELINE_MODES,
     LatencyTable,
     ModelConfig,
     pipeline_breakdown,
 )
 from .evaluate import EvalConfig, bootstrap_accuracy, budget_curve
-from .ranking import bt_loss, bt_loss_gradient, group_from_problem, score_margin
+from .ranking import (
+    audit_gradient,
+    bt_loss,
+    bt_loss_gradient,
+    group_from_problem,
+    score_margin,
+)
 from .records import emit_report, ingest, ingest_stats, records_text
-from .selection import select_answer
+from .selection import METHODS, SCORE_TRANSFORMS, select_answer
 from .synth import SynthSpec, generate_pool
 
 
@@ -71,24 +79,16 @@ def _model_config(preset: Optional[str], path: Optional[str]) -> Optional[ModelC
     return None
 
 
-def _eval_config(args: argparse.Namespace, n: int) -> EvalConfig:
-    return EvalConfig(
-        n=n,
-        method=getattr(args, "method", "sc"),
-        draws=args.draws,
-        seed=args.seed,
-        ci_level=args.ci_level,
-        replacement=args.replacement,
-        alpha=args.alpha,
-        m_verifications=getattr(args, "m_verifications", None),
-        transform=args.score_transform,
-        ci_method=args.ci_method,
-    )
+def _from_flags(cls, args: argparse.Namespace, **given):
+    """cls built from given plus every parsed flag whose dest is a field;
+    fields with neither keep their defaults."""
+    flags = {f.name: getattr(args, f.name) for f in fields(cls) if f.name in args}
+    return cls(**flags, **given)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     problems = _read_problems(args)
-    report = bootstrap_accuracy(problems, _eval_config(args, args.n), jobs=args.jobs)
+    report = bootstrap_accuracy(problems, _from_flags(EvalConfig, args), jobs=args.jobs)
     _write_out(emit_report(report, args.format), args.output)
     return 0
 
@@ -108,7 +108,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         verifier_cfg=_model_config(args.verifier_preset, args.verifier_config),
         budget_mode=args.budget,
         latency_table=table,
-        cfg=_eval_config(args, 1),
+        cfg=_from_flags(EvalConfig, args, n=1),
         verification_out_tokens=args.verify_out,
         jobs=args.jobs,
     )
@@ -146,56 +146,20 @@ def cmd_cost(args: argparse.Namespace) -> int:
     doc = {
         "mode": args.mode,
         "candidates": len(stats),
-        "generation": {k: float(v) for k, v in parts["generation"].as_dict().items()},
-        "verification": {
-            k: float(v) for k, v in parts["verification"].as_dict().items()
-        },
+        **parts,
         "total": float(parts["generation"].total + parts["verification"].total),
     }
     _write_out(emit_report(doc, "json"), args.output)
     return 0
 
 
-def _grad_check(seed: int) -> int:
-    """Finite-difference audit of the analytic gradient; nonzero on failure."""
-    rng = np.random.default_rng(seed)
-    h = 1e-5
-    worst = 0.0
-    checks = 0
-    from .ranking import ScoredGroup
-
-    for _ in range(1000):
-        size = int(rng.integers(2, 17))
-        labels = np.zeros(size, dtype=bool)
-        labels[: int(rng.integers(1, size))] = True
-        rng.shuffle(labels)
-        scores = rng.uniform(-4, 4, size)
-        lam = float(rng.choice([0.0, 0.01, 1.0]))
-        group = ScoredGroup(tuple(scores), tuple(bool(b) for b in labels))
-        grad = bt_loss_gradient(group, lam)
-        for k in range(size):
-            bumped = scores.copy()
-            bumped[k] += h
-            up = bt_loss(ScoredGroup(tuple(bumped), group.labels), lam)
-            bumped[k] -= 2 * h
-            down = bt_loss(ScoredGroup(tuple(bumped), group.labels), lam)
-            fd = (up - down) / (2 * h)
-            rel = float(abs(grad[k] - fd) / max(abs(fd), 1e-8))
-            worst = max(worst, rel)
-            checks += 1
-    ok = worst < 1e-5
-    print(
-        emit_report(
-            {"checks": checks, "max_rel_err": worst, "pass": ok}, "json"
-        ),
-        end="",
-    )
-    return 0 if ok else 1
-
-
 def cmd_btloss(args: argparse.Namespace) -> int:
     if args.grad_check:
-        return _grad_check(args.seed)
+        checks, worst = audit_gradient(args.seed)
+        ok = worst < 1e-5
+        doc = {"checks": checks, "max_rel_err": worst, "pass": ok}
+        print(emit_report(doc, "json"), end="")
+        return 0 if ok else 1
     problems = _read_problems(args)
     groups = []
     dropped = 0
@@ -228,20 +192,7 @@ def cmd_btloss(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    spec = SynthSpec(
-        seed=args.seed,
-        n_problems=args.n_problems,
-        pool_size=args.pool_size,
-        p_correct=args.p_correct,
-        answer_space=args.answer_space,
-        correct_dist=args.correct_dist,
-        incorrect_dist=args.incorrect_dist,
-        gen_verifications=args.gen_verifications,
-        prompt_tokens=args.prompt_tokens,
-        output_tokens=args.output_tokens,
-        solution_tokens=args.solution_tokens,
-        verification_out_tokens=args.verify_out,
-    )
+    spec = _from_flags(SynthSpec, args)
     _write_out(records_text(generate_pool(spec)), args.output)
     return 0
 
@@ -261,7 +212,7 @@ def cmd_select(args: argparse.Namespace) -> int:
         args.method,
         alpha=args.alpha,
         m_verifications=args.m_verifications,
-        transform=args.score_transform,
+        transform=args.transform,
         rng=rng,
     )
     doc = {
@@ -318,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="RNG seed")
     parser.add_argument(
-        "--score-transform", choices=("sigmoid", "raw"), default="sigmoid",
+        "--score-transform", dest="transform", choices=SCORE_TRANSFORMS,
+        default="sigmoid",
         help="how raw verifier logits enter wsc/pv/gpv aggregation",
     )
     parser.add_argument(
@@ -334,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("evaluate", help="bootstrap accuracy of one method")
     _add_io(sub)
-    sub.add_argument("--method", required=True, choices=("sc", "bon", "wsc", "pv", "gpv"))
-    sub.add_argument("-n", dest="n", type=int, required=True, help="slate size")
+    sub.add_argument("--method", required=True, choices=METHODS)
+    sub.add_argument("-n", type=int, required=True, help="slate size")
     sub.add_argument("-M", "--m-verifications", type=int, default=None)
     _add_eval_options(sub)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
@@ -365,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("cost", help="FLOPs breakdown for a pipeline")
     _add_io(sub, input_required=False)
-    sub.add_argument("--mode", choices=("sc", "disc", "gen"), default="sc")
+    sub.add_argument("--mode", choices=PIPELINE_MODES, default="sc")
     sub.add_argument("--solver-preset", choices=sorted(MODEL_PRESETS))
     sub.add_argument("--solver-config")
     sub.add_argument("--verifier-preset", choices=sorted(MODEL_PRESETS))
@@ -402,13 +354,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--prompt-tokens", type=int, default=64)
     sub.add_argument("--output-tokens", type=int, default=512)
     sub.add_argument("--solution-tokens", type=int, default=128)
-    sub.add_argument("--verify-out", type=int, default=None)
+    sub.add_argument(
+        "--verify-out", dest="verification_out_tokens", metavar="VERIFY_OUT",
+        type=int, default=None,
+    )
     sub.set_defaults(func=cmd_simulate)
 
     sub = commands.add_parser("select", help="run one rule on one pool")
     _add_io(sub)
     sub.add_argument("--problem-id", default=None, help="default: first problem")
-    sub.add_argument("--method", required=True, choices=("sc", "bon", "wsc", "pv", "gpv"))
+    sub.add_argument("--method", required=True, choices=METHODS)
     sub.add_argument("--alpha", type=float, default=None)
     sub.add_argument("-M", "--m-verifications", type=int, default=None)
     sub.add_argument(

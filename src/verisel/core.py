@@ -7,7 +7,7 @@ so pools can be evaluated concurrently without shared state.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -30,6 +30,12 @@ class IngestError(VeriselError):
     """Raised when input records violate a structural invariant."""
 
 
+def _check_token_count(name: str, value: int) -> None:
+    """A token count is a non-negative int; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"invalid token count: {name}={value!r}")
+
+
 @dataclass(frozen=True)
 class TokenStats:
     """Token counts for one candidate solution.
@@ -47,19 +53,18 @@ class TokenStats:
     verification_out_tokens: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for name in ("prompt_tokens", "output_tokens", "solution_tokens"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(f"invalid token count: {name}={value!r}")
+        _check_token_count("prompt_tokens", self.prompt_tokens)
+        _check_token_count("output_tokens", self.output_tokens)
+        _check_token_count("solution_tokens", self.solution_tokens)
         if self.solution_tokens > self.output_tokens:
             raise ValueError(
                 "invalid token count: solution_tokens "
                 f"{self.solution_tokens} > output_tokens {self.output_tokens}"
             )
-        for name in ("reasoning_budget", "verification_out_tokens"):
-            value = getattr(self, name)
-            if value is not None and (not isinstance(value, int) or value < 0):
-                raise ValueError(f"invalid token count: {name}={value!r}")
+        if self.reasoning_budget is not None:
+            _check_token_count("reasoning_budget", self.reasoning_budget)
+        if self.verification_out_tokens is not None:
+            _check_token_count("verification_out_tokens", self.verification_out_tokens)
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,7 @@ class Candidate:
     correct: Optional[bool] = None
     disc_score: Optional[float] = None
     gen_scores: Optional[tuple[float, ...]] = None
-    token_stats: TokenStats = field(default_factory=TokenStats)
+    token_stats: TokenStats = TokenStats()  # one shared, immutable default
 
     def __post_init__(self) -> None:
         if self.answer_raw and not self.answer_key:

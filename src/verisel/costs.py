@@ -21,7 +21,7 @@ from operator import mul
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
-from .core import TokenStats
+from .core import TokenStats, _check_token_count
 
 PIPELINE_MODES = ("sc", "disc", "gen")
 
@@ -125,19 +125,13 @@ class FlopsBreakdown:
 ZERO_FLOPS = FlopsBreakdown(0, 0, 0, 0, 0)
 
 
-def _check_tokens(**counts: int) -> None:
-    for name, value in counts.items():
-        if not isinstance(value, int) or value < 0:
-            raise ValueError(f"invalid token count: {name}={value!r}")
-
-
 def flops_prefill(cfg: ModelConfig, t_in: int) -> FlopsBreakdown:
     """Cost of ingesting a t_in-token prompt.
 
     Projections are linear in t_in; causal attention is quadratic, token k
     attending to positions 1..k. No LM head: prefill emits no tokens.
     """
-    _check_tokens(t_in=t_in)
+    _check_token_count("t_in", t_in)
     projections = (8 * cfg.d**2 + 4 * cfg.d * cfg.m) * t_in * cfg.L
     attention = 4 * cfg.d * (t_in * (t_in + 1) // 2) * cfg.L
     return FlopsBreakdown(
@@ -158,7 +152,8 @@ def flops_decode(
     head_vocab defaults to the full vocabulary; a verifier emitting one
     scalar passes head_vocab=1.
     """
-    _check_tokens(t_in=t_in, t_out=t_out)
+    _check_token_count("t_in", t_in)
+    _check_token_count("t_out", t_out)
     if head_vocab is None:
         head_vocab = cfg.V
     if head_vocab < 1:
@@ -231,7 +226,7 @@ def _verification_outs(
             "gen mode needs verification_out_tokens per candidate "
             "or a constant verification output length"
         )
-    _check_tokens(t_out=fallback)
+    _check_token_count("t_out", fallback)
     return [fallback if t is None else t for t in outs]
 
 

@@ -82,6 +82,15 @@ class EvalConfig:
         return DEFAULT_GPV_ALPHA if self.method == "gpv" else DEFAULT_PV_ALPHA
 
 
+def _store_floats(report, *names: str) -> None:
+    """Store the named fields as floats, so an int given for one reports
+    as a float does (1 prints as 1.0); None stays None."""
+    for name in names:
+        value = getattr(report, name)
+        if value is not None:
+            object.__setattr__(report, name, float(value))
+
+
 @dataclass(frozen=True)
 class BootstrapReport:
     """Benchmark accuracy with its confidence interval and config echo."""
@@ -106,6 +115,10 @@ class BootstrapReport:
                 f"inconsistent interval: [{self.ci_low}, {self.ci_high}] "
                 f"around {self.mean}"
             )
+        _store_floats(self, "mean", "ci_low", "ci_high", "ci_level", "alpha")
+        object.__setattr__(self, "per_problem", tuple(
+            (pid, float(acc)) for pid, acc in self.per_problem
+        ))
 
 
 @dataclass(frozen=True)
@@ -123,6 +136,7 @@ class BudgetPoint:
     def __post_init__(self) -> None:
         if self.budget <= 0:
             raise ValueError(f"invalid budget: {self.budget}")
+        _store_floats(self, "budget", "accuracy", "ci_low", "ci_high")
 
 
 def _pid_hash(problem_id: str) -> int:
@@ -377,6 +391,8 @@ def budget_curve(
         raise ValueError("latency budget needs a latency table")
     if budget_mode == "flops" and solver_cfg is None:
         raise ValueError("flops budget needs a solver config")
+    if not problems:
+        raise ValueError("no problems")
     for p in problems:
         if not p.candidates:
             raise EmptyPoolError(f"problem {p.problem_id!r}: empty pool")

@@ -129,3 +129,36 @@ def score_margin(group: ScoredGroup) -> float:
     """Mean correct score minus mean incorrect score."""
     _, pos, neg = _split(group)
     return float(pos.mean() - neg.mean())
+
+
+def audit_gradient(seed: int) -> tuple[int, float]:
+    """Audit bt_loss_gradient against central finite differences.
+
+    Draws 1000 seeded groups of 2 to 16 logits in [-4, 4], each with both
+    labels and lambda in {0, 0.01, 1}, and compares every partial derivative
+    with (L(r + h) - L(r - h)) / 2h at h = 1e-5. Returns the number of
+    partials checked and the worst relative error.
+    """
+    rng = np.random.default_rng(seed)
+    h = 1e-5
+    worst = 0.0
+    checks = 0
+    for _ in range(1000):
+        size = int(rng.integers(2, 17))
+        labels = np.zeros(size, dtype=bool)
+        labels[: int(rng.integers(1, size))] = True
+        rng.shuffle(labels)
+        scores = rng.uniform(-4, 4, size)
+        lam = float(rng.choice([0.0, 0.01, 1.0]))
+        group = ScoredGroup(tuple(scores), tuple(bool(b) for b in labels))
+        grad = bt_loss_gradient(group, lam)
+        for k in range(size):
+            bumped = scores.copy()
+            bumped[k] += h
+            up = bt_loss(ScoredGroup(tuple(bumped), group.labels), lam)
+            bumped[k] -= 2 * h
+            down = bt_loss(ScoredGroup(tuple(bumped), group.labels), lam)
+            fd = (up - down) / (2 * h)
+            worst = max(worst, float(abs(grad[k] - fd) / max(abs(fd), 1e-8)))
+            checks += 1
+    return checks, worst

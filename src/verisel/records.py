@@ -15,7 +15,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import IO, Iterable, Sequence, Union
 
@@ -217,36 +217,42 @@ def _sig6(value: float) -> float:
     return float(f"{value:.6g}")
 
 
-def _bootstrap_dict(report: BootstrapReport) -> dict:
-    doc = {
-        "method": report.method,
-        "n": report.n,
-        "mean": _sig6(report.mean),
-        "ci_low": _sig6(report.ci_low),
-        "ci_high": _sig6(report.ci_high),
-        "draws": report.draws,
-        "seed": report.seed,
-        "ci_level": _sig6(report.ci_level),
-        "replacement": report.replacement,
-        "transform": report.transform,
-    }
-    if report.alpha is not None:
-        doc["alpha"] = _sig6(report.alpha)
-    if report.m is not None:
-        doc["m"] = report.m
-    doc["per_problem"] = {pid: _sig6(acc) for pid, acc in report.per_problem}
-    return doc
+def _plain(value):
+    """A report as JSON-ready data: reports and breakdowns become dicts,
+    wherever they sit, and every float goes through _sig6."""
+    if isinstance(value, FlopsBreakdown):
+        value = {k: float(v) for k, v in value.as_dict().items()}
+    elif isinstance(value, (BootstrapReport, BudgetPoint)):
+        value = {
+            f.name: getattr(value, f.name) for f in fields(value)
+            if getattr(value, f.name) is not None
+        }
+        if "per_problem" in value:
+            value["per_problem"] = dict(value["per_problem"])
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, float):
+        return _sig6(value)
+    return value
 
 
 CURVE_HEADER = "method,N,M,budget,accuracy,ci_low,ci_high"
 
 
-def _curve_rows(points: Sequence[BudgetPoint]) -> list[str]:
-    return [
-        f"{p.method},{p.n},{p.m},{p.budget:.6g},{p.accuracy:.6g},"
-        f"{p.ci_low:.6g},{p.ci_high:.6g}"
-        for p in points
+def _csv(header: str, rows: Sequence) -> str:
+    """The header, then per row the attributes it names (in lower case),
+    floats at 6 significant digits."""
+    names = header.lower().split(",")
+    lines = [header] + [
+        ",".join(
+            f"{v:.6g}" if isinstance(v, float) else str(v)
+            for v in (getattr(row, name) for name in names)
+        )
+        for row in rows
     ]
+    return "\n".join(lines) + "\n"
 
 
 def emit_report(
@@ -257,54 +263,14 @@ def emit_report(
 
     BootstrapReports render as a JSON object or a one-row CSV; curves as a
     JSON array or CSV with the documented header; breakdowns and plain
-    dicts as JSON.
+    dicts, which may hold reports and breakdowns, as JSON.
     """
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown report format: {fmt!r}")
-
+    if fmt == "json":
+        return json.dumps(_plain(report), indent=2) + "\n"
     if isinstance(report, BootstrapReport):
-        if fmt == "csv":
-            return (
-                "method,n,mean,ci_low,ci_high,draws,seed\n"
-                f"{report.method},{report.n},{report.mean:.6g},"
-                f"{report.ci_low:.6g},{report.ci_high:.6g},"
-                f"{report.draws},{report.seed}\n"
-            )
-        return json.dumps(_bootstrap_dict(report), indent=2) + "\n"
-
-    if isinstance(report, FlopsBreakdown):
-        report = {k: float(v) for k, v in report.as_dict().items()}
-
-    if isinstance(report, dict):
-        if fmt == "csv":
-            raise ValueError("csv format applies to curves and reports only")
-
-        def clean(value):
-            if isinstance(value, dict):
-                return {k: clean(v) for k, v in value.items()}
-            if isinstance(value, list):
-                return [clean(v) for v in value]
-            if isinstance(value, float):
-                return _sig6(value)
-            return value
-
-        return json.dumps(clean(report), indent=2) + "\n"
-
-    points = list(report)
-    if fmt == "csv":
-        return "\n".join([CURVE_HEADER, *_curve_rows(points)]) + "\n"
-    return json.dumps(
-        [
-            {
-                "method": p.method,
-                "n": p.n,
-                "m": p.m,
-                "budget": _sig6(p.budget),
-                "accuracy": _sig6(p.accuracy),
-                "ci_low": _sig6(p.ci_low),
-                "ci_high": _sig6(p.ci_high),
-            }
-            for p in points
-        ],
-        indent=2,
-    ) + "\n"
+        return _csv("method,n,mean,ci_low,ci_high,draws,seed", [report])
+    if isinstance(report, (FlopsBreakdown, dict)):
+        raise ValueError("csv format applies to curves and reports only")
+    return _csv(CURVE_HEADER, report)

@@ -245,10 +245,6 @@ def _require_clusters(clusters: Sequence[AnswerCluster]) -> None:
         raise EmptyPoolError("empty pool")
 
 
-def _pool_size(clusters: Sequence[AnswerCluster], n_total: Optional[int]) -> int:
-    return sum(cl.n_a for cl in clusters) if n_total is None else n_total
-
-
 def select_sc(
     clusters: Sequence[AnswerCluster],
     rng: Optional[np.random.Generator] = None,
@@ -320,7 +316,6 @@ def select_pv(
     clusters: Sequence[AnswerCluster],
     scores: Optional[Mapping[str, float]] = None,
     alpha: float = DEFAULT_PV_ALPHA,
-    n_total: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> SelectionResult:
     """Pessimistic verification: mean cluster score minus a support penalty.
@@ -328,7 +323,7 @@ def select_pv(
     Objective: mean_score(a) - alpha * ln(N) / (n_a + 1), N = pool size.
     """
     _require_clusters(clusters)
-    objective = _objective("pv", _pool_size(clusters, n_total), alpha)
+    objective = _objective("pv", sum(cl.n_a for cl in clusters), alpha)
     return _select_clusters(
         "pv", clusters, _cluster_sums(clusters, scores), objective, rng,
         alpha=alpha,
@@ -339,7 +334,6 @@ def select_gpv(
     clusters: Sequence[AnswerCluster],
     gen_scores: Mapping[str, Sequence[float]],
     alpha: float = DEFAULT_GPV_ALPHA,
-    n_total: Optional[int] = None,
     m_verifications: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> SelectionResult:
@@ -352,7 +346,7 @@ def select_gpv(
     """
     _require_clusters(clusters)
     m = _resolve_m(gen_scores, m_verifications)
-    objective = _objective("gpv", _pool_size(clusters, n_total), alpha, m)
+    objective = _objective("gpv", sum(cl.n_a for cl in clusters), alpha, m)
     totals = _cluster_sums(clusters, _gen_means(gen_scores, m))
     return _select_clusters(
         "gpv", clusters, totals, objective, rng, alpha=alpha, m=m

@@ -271,6 +271,14 @@ class TestBtloss:
         assert code == 2 and "error: no learnable signal" in err
 
 
+class TestSimulate:
+    def test_dist_needs_two_numbers(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--correct-dist", "1,2,3"])
+        assert exc.value.code == 2
+        assert "expected two numbers, got '1,2,3'" in capsys.readouterr().err
+
+
 class TestSelect:
     POOL = jsonl(
         {"problem_id": "p1", "candidate_id": "c1", "answer": "a",

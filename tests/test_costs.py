@@ -119,6 +119,12 @@ class TestFormulas:
         with pytest.raises(ValueError, match="invalid token count"):
             flops_decode(UNIT, 1, -1)
 
+    def test_rejects_boolean_tokens(self):
+        with pytest.raises(ValueError, match="invalid token count: t_in=True"):
+            flops_prefill(UNIT, True)
+        with pytest.raises(ValueError, match="invalid token count: t_out=False"):
+            flops_decode(UNIT, 1, False)
+
     def test_matches_per_token_loop(self):
         for d in (1, 2, 3):
             for m in (1, 2, 3):

@@ -4,11 +4,13 @@ import builtins
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from verisel import (
+    BUNDLED_LATENCY,
     BudgetPoint,
     Candidate,
     EmptyPoolError,
@@ -768,6 +770,16 @@ class TestBudgetCurve:
             budget_curve(self.problems() + [empty], ["sc", "gpv"], [1, 2],
                          solver_cfg=SOLVER, verifier_cfg=VERIFIER)
         assert priced == []
+
+    def test_no_problems_fails_before_pricing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no problems"):
+                budget_curve([], ["sc"], [1, 2],
+                             solver_cfg=MODEL_PRESETS["qwen2.5-32b"])
+            with pytest.raises(ValueError, match="no problems"):
+                budget_curve([], ["sc"], [1, 2], budget_mode="latency",
+                             latency_table=BUNDLED_LATENCY)
 
     def test_argument_validation(self):
         problems = self.problems()

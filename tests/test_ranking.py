@@ -15,6 +15,7 @@ from verisel import (
     group_from_problem,
     score_margin,
 )
+from verisel.ranking import audit_gradient
 
 
 def group(scores, labels):
@@ -145,6 +146,11 @@ class TestGradient:
                 fd = fd_gradient(g, lam)
                 rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)
                 assert rel.max() < 1e-5
+
+    def test_audit(self):
+        checks, worst = audit_gradient(1)
+        assert checks == 9116
+        assert 0.0 < worst < 1e-5
 
 
 class TestMargin:

@@ -125,6 +125,12 @@ class TestIngest:
 
 
 class TestIngestErrors:
+    def test_boolean_token_count(self):
+        with pytest.raises(
+            IngestError, match="line 2: invalid token count: output_tokens=True"
+        ):
+            ingest_text(line() + "\n" + line(candidate_id="c2", output_tokens=True))
+
     def test_invalid_json_names_line(self):
         with pytest.raises(IngestError, match="line 2: invalid JSON"):
             ingest_text(line() + "\n{oops\n")
@@ -364,6 +370,46 @@ class TestEmitReport:
         assert emit_report(report_fixture()) == emit_report(report_fixture())
         assert emit_report(curve_fixture(), fmt="csv") == \
             emit_report(curve_fixture(), fmt="csv")
+
+    def test_int_fields_print_as_floats(self):
+        report = BootstrapReport(
+            method="pv", n=4, mean=1, ci_low=1, ci_high=1, draws=2, seed=0,
+            ci_level=0.95, replacement=False, transform="raw", alpha=1,
+            m=None, per_problem=(("q0", 1),),
+        )
+        assert emit_report(report) == (
+            '{\n  "method": "pv",\n  "n": 4,\n  "mean": 1.0,\n'
+            '  "ci_low": 1.0,\n  "ci_high": 1.0,\n  "draws": 2,\n'
+            '  "seed": 0,\n  "ci_level": 0.95,\n  "replacement": false,\n'
+            '  "transform": "raw",\n  "alpha": 1.0,\n'
+            '  "per_problem": {\n    "q0": 1.0\n  }\n}\n'
+        )
+        assert emit_report(report, fmt="csv") == (
+            "method,n,mean,ci_low,ci_high,draws,seed\npv,4,1,1,1,2,0\n"
+        )
+        points = [BudgetPoint(method="sc", n=2, m=0, budget=1234567,
+                              accuracy=1, ci_low=0, ci_high=1)]
+        assert emit_report(points, fmt="csv") == (
+            "method,N,M,budget,accuracy,ci_low,ci_high\n"
+            "sc,2,0,1.23457e+06,1,0,1\n"
+        )
+        assert emit_report(points) == (
+            '[\n  {\n    "method": "sc",\n    "n": 2,\n    "m": 0,\n'
+            '    "budget": 1234570.0,\n    "accuracy": 1.0,\n'
+            '    "ci_low": 0.0,\n    "ci_high": 1.0\n  }\n]\n'
+        )
+
+    def test_reports_nested_in_a_dict(self):
+        fb = flops_generation(ModelConfig(d=2, m=3, L=2, V=7), 4, 5)
+        doc = {"flops": fb, "report": report_fixture(),
+               "curve": tuple(curve_fixture())}
+        text = emit_report(doc)
+        assert json.loads(text) == {
+            "flops": json.loads(emit_report(fb)),
+            "report": json.loads(emit_report(report_fixture())),
+            "curve": json.loads(emit_report(curve_fixture())),
+        }
+        assert f'"total": {float(fb.total)}' in text
 
     def test_rejected_formats(self):
         with pytest.raises(ValueError, match="unknown report format"):

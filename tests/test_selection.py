@@ -67,6 +67,15 @@ class TestSelectBoN:
     def test_singleton(self):
         assert select_bon(pool(["A"], [0.2]).candidates).chosen_answer == "A"
 
+    def test_empty(self):
+        with pytest.raises(EmptyPoolError, match="empty pool"):
+            select_bon([])
+
+    def test_score_map_missing_a_candidate(self):
+        cands = pool(["A", "B"]).candidates
+        with pytest.raises(ValueError, match="scores required"):
+            select_bon(cands, {"c0": 0.5})
+
     def test_missing_scores(self):
         cands = (Candidate(candidate_id="c0", answer_raw="A", answer_key="A"),)
         with pytest.raises(ValueError, match="scores required"):
@@ -108,6 +117,10 @@ class TestSelectWSC:
 
     def test_two_clusters(self):
         assert select_wsc(clusters(["A", "B"], [0.6, 0.4])).chosen_answer == "A"
+
+    def test_score_map_missing_a_member(self):
+        with pytest.raises(ValueError, match="scores required"):
+            select_wsc(clusters(["A", "A", "B"]), {"c0": 0.5, "c2": 0.1})
 
     def test_unit_scores_reduce_to_sc(self):
         rng = np.random.default_rng(6)

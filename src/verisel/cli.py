@@ -158,7 +158,7 @@ def cmd_btloss(args: argparse.Namespace) -> int:
         checks, worst = audit_gradient(args.seed)
         ok = worst < 1e-5
         doc = {"checks": checks, "max_rel_err": worst, "pass": ok}
-        print(emit_report(doc, "json"), end="")
+        _write_out(emit_report(doc, "json"), args.output)
         return 0 if ok else 1
     problems = _read_problems(args)
     groups = []

@@ -85,10 +85,10 @@ class Candidate:
     token_stats: TokenStats = TokenStats()  # one shared, immutable default
 
     def __post_init__(self) -> None:
-        if self.answer_raw and not self.answer_key:
+        if self.answer_raw.strip() and not self.answer_key:
             raise ValueError(
                 f"candidate {self.candidate_id!r}: answer_key empty "
-                "but answer_raw is non-empty"
+                "but answer_raw is not blank"
             )
         if self.gen_scores is not None:
             if not isinstance(self.gen_scores, tuple):

@@ -6,11 +6,22 @@ averaging. Every draw gets its own counter-based RNG stream keyed by
 (seed, problem_id, draw index), and reduction order is fixed, so results
 are bit-identical at any parallelism level.
 
+Slates are drawn and scored in bulk. The draws reproduce
+slate_rng(seed, problem_id, draw).choice(k, n, replace) bit for bit:
+Philox4x64-10 runs in numpy over a (block, draw) grid, and Floyd's
+algorithm and the Fisher-Yates shuffle run as n vector steps across draws.
+Replacement draws, pools of more than 10,000 candidates and the rare draw
+where Lemire's method rejects a word go through slate_rng itself. Rows of
+problems with equal pool size share each chunk of draws, so a row never
+depends on which problems ran with it.
+
 What a rule decides on a slate comes from selection.py: the same
 per-candidate scores, objectives, cluster tie order and BoN order that
 select_answer applies to a whole pool. Only the aggregation is done here,
-per slate: bincount counts and score sums over the drawn candidates. The
-test suite holds the two paths to exact agreement, slate by slate.
+for a chunk of slates at once: one bincount of counts and one of score
+sums over row-offset answer codes, adding each slate's scores in slate
+order. The test suite holds the two paths to exact agreement, slate by
+slate.
 """
 
 from __future__ import annotations
@@ -36,7 +47,6 @@ from .selection import (
     _bon_ranking,
     _gen_means,
     _objective,
-    _order,
     _resolve_m,
     _transform_fn,
     candidate_gen_scores,
@@ -67,6 +77,8 @@ class EvalConfig:
             raise ValueError(f"invalid slate size: {self.n}")
         if self.draws < 1:
             raise ValueError(f"invalid draw count: {self.draws}")
+        if not 0 <= self.seed < 2**63:
+            raise ValueError(f"seed out of range [0, 2**63): {self.seed}")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError(f"ci_level out of (0,1): {self.ci_level}")
         if self.method not in METHODS:
@@ -145,21 +157,146 @@ def _pid_hash(problem_id: str) -> int:
 
 
 def slate_rng(seed: int, problem_id: str, draw: int) -> np.random.Generator:
-    """The draw's private stream; counter-based so construction is cheap."""
+    """The draw's private stream: the draw contract.
+
+    It is Philox4x64-10 at counter (0, 0, 0, draw), keyed by numpy's
+    coercion of the list [seed, h], where h is the first 8 bytes of the
+    problem id's sha256, big-endian. When exactly one of the two is at
+    least 2**63, numpy goes through a float64 array, so the key keeps 53
+    significant bits of each; that happens for about half of all ids.
+
+    A slate is slate_rng(seed, problem_id, draw).choice(k, n, replace).
+    The evaluator draws slates in bulk, bit for bit equal to that (see
+    _draw_slates), and calls this stream itself for replacement draws,
+    for pools of more than 10,000 candidates and for the rare draw where
+    Lemire's method rejects a word.
+    """
     bitgen = np.random.Philox(
         counter=[0, 0, 0, draw], key=[seed, _pid_hash(problem_id)]
     )
     return np.random.Generator(bitgen)
 
 
+# Philox4x64-10 (Salmon et al., SC'11): round multipliers, key increments.
+_PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_BUMP = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LOW = np.uint64(0xFFFFFFFF)
+_HALF = np.uint64(32)
+# choice(k, n, replace=False) runs Floyd's algorithm for every n at k <= this.
+_MAX_BULK_POOL = 10_000
+# Slate elements drawn and scored at once, and (block, row) cells of Philox
+# computed at once; both keep arrays small, for peak memory and cache.
+_CHUNK = 1 << 14
+_PHILOX_CELLS = 1 << 12
+
+
+def _slate_key(seed: int, problem_id: str) -> np.ndarray:
+    """slate_rng's Philox key for a problem, as numpy stores it."""
+    return np.random.Philox(key=[seed, _pid_hash(problem_id)]).state["state"]["key"]
+
+
+def _mulhilo(x: np.ndarray, mul: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of x * mul; the high one from 32-bit
+    halves (Warren, Hacker's Delight, mulhu)."""
+    m_lo, m_hi = np.uint64(mul & 0xFFFFFFFF), np.uint64(mul >> 32)
+    x_lo, x_hi = x & _LOW, x >> _HALF
+    mid = (x_lo * m_lo >> _HALF) + x_hi * m_lo
+    high = x_hi * m_hi + (mid >> _HALF) + ((mid & _LOW) + x_lo * m_hi >> _HALF)
+    return high, x * np.uint64(mul)
+
+
+def _philox(keys: np.ndarray, draws: np.ndarray, blocks: range) -> tuple:
+    """Philox4x64-10 output words (x0, x1, x2, x3), each broadcastable to
+    (blocks, rows): block b of row r is counter (b + 1, 0, 0, draws[r])
+    under key keys[r]. The counter words broadcast, so the first rounds
+    work on small arrays."""
+    x0 = np.arange(blocks.start + 1, blocks.stop + 1, dtype=np.uint64)[:, None]
+    x1 = x2 = np.zeros((1, 1), np.uint64)
+    x3 = draws.astype(np.uint64)
+    k0, k1 = keys[:, 0].copy(), keys[:, 1].copy()
+    for r in range(10):
+        if r:
+            k0 += _PHILOX_BUMP[0]
+            k1 += _PHILOX_BUMP[1]
+        hi0, lo0 = _mulhilo(x0, _PHILOX_MUL[0])
+        hi1, lo1 = _mulhilo(x2, _PHILOX_MUL[1])
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    return x0, x1, x2, x3
+
+
+def _stream_words(keys: np.ndarray, draws: np.ndarray, count: int) -> np.ndarray:
+    """The first count 32-bit words of each row's slate_rng stream, as
+    uint64, shape (count, rows).
+
+    Each 64-bit Philox word gives its low half first, as numpy reads
+    them. Blocks are computed a few at a time, to keep arrays small.
+    """
+    rows, blocks = len(draws), -(-count // 8)
+    words = np.empty((blocks, 4, 2, rows), "<u8")
+    step = max(1, _PHILOX_CELLS // rows)
+    for start in range(0, blocks, step):
+        part = range(start, min(start + step, blocks))
+        for i, x in enumerate(_philox(keys, draws, part)):
+            x = np.broadcast_to(x, (len(part), rows))
+            np.bitwise_and(x, _LOW, out=words[part.start:part.stop, i, 0])
+            np.right_shift(x, _HALF, out=words[part.start:part.stop, i, 1])
+    return words.reshape(8 * blocks, rows)[:count]
+
+
+def _draw_slates(
+    keys: np.ndarray, draws: np.ndarray, k: int, n: int, ordered: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's slate_rng(...).choice(k, n, replace=False), shape
+    (rows, n), for k <= 10,000; and a mask of the rows to draw again.
+
+    choice runs Floyd's algorithm over j = k-n .. k-1 (j = 0 draws
+    nothing), then a Fisher-Yates shuffle over i = n-1 .. 1. Each bounded
+    draw in [0, j] is Lemire's method on one 32-bit word (Lemire, ACM
+    TOMACS 2019). Where Lemire would reject a word and read the next, the
+    row's later draws all move; such a row is flagged instead. With
+    ordered=False the shuffle is left out, and with it the shuffle's
+    words: each row holds the same candidates, in another order.
+    """
+    rows = len(draws)
+    floyd = range(k - n, k)
+    bounds = [j + 1 for j in floyd if j] + list(range(n, 1, -1) if ordered else [])
+    if not ordered and n == k:  # Floyd picks every candidate
+        return np.broadcast_to(np.arange(k), (rows, k)), np.zeros(rows, bool)
+    scaled = _stream_words(keys, draws, len(bounds))
+    scaled *= np.array(bounds, np.uint64)[:, None]
+    thresholds = np.array([2**32 % b for b in bounds], np.uint32)[:, None]
+    # low halves of the little-endian products, without a copy
+    redo = (scaled.view("<u4")[:, ::2] < thresholds).any(axis=0)
+    scaled >>= _HALF
+    words = iter(scaled.view("<i8"))  # each below 2**32
+
+    base = np.arange(rows) * k
+    taken = np.zeros(rows * k, bool)
+    slates = np.empty((n, rows), np.int64)
+    for s, j in enumerate(floyd):
+        pick = next(words) if j else np.zeros(rows, np.int64)
+        if s:
+            pick = np.where(taken[base + pick], j, pick)
+        taken[base + pick] = True
+        slates[s] = pick
+    if ordered:
+        cols = np.arange(rows)
+        for i in range(n - 1, 0, -1):
+            other = next(words)
+            swap = slates[other, cols]
+            slates[other, cols] = slates[i]
+            slates[i] = swap
+    return slates.T, redo
+
+
 class _PoolArrays:
-    """One problem's candidates as arrays, for aggregating slates.
+    """One problem's candidates as arrays: answer codes, the label of each
+    code, and BoN ranks or per-candidate scores.
 
     What a rule decides comes from selection.py: the per-candidate scores,
-    the objective, the cluster tie order and BoN's candidate order. A slate
-    only counts and sums its clusters. Answer codes are assigned in
-    ascending answer_key order, so a code stands for its key in the tie
-    order.
+    the objective, the cluster tie order and BoN's candidate order. Answer
+    codes are assigned in ascending answer_key order, so a code stands for
+    its key in the tie order.
     """
 
     def __init__(self, problem: Problem, cfg: EvalConfig):
@@ -173,50 +310,123 @@ class _PoolArrays:
         graded = {c.cluster_key: float(c.correct) for c in cands}  # one per key
         keys = sorted(graded)
         code_of = {key: i for i, key in enumerate(keys)}
-        self.codes = np.array([code_of[c.cluster_key] for c in cands])
+        self.codes = np.array([code_of[c.cluster_key] for c in cands], np.int32)
         self.none_code = code_of.get(NO_ANSWER_KEY, -1)
         self.correct = [graded[key] for key in keys]
 
+        self.m = 1
         self.rank = self.weights = None
         if cfg.method == "bon":
             ranked = _bon_ranking(cands, candidate_scores(cands, "raw"))
             place = {c.candidate_id: i for i, c in enumerate(ranked)}
             # unranked (no-answer) candidates take rank k and never win
-            self.rank = np.array([place.get(c.candidate_id, self.k) for c in cands])
-            return
-        m = 1
-        if cfg.method == "gpv":
+            self.rank = np.array(
+                [place.get(c.candidate_id, self.k) for c in cands], np.int32
+            )
+        elif cfg.method == "gpv":
             gen = candidate_gen_scores(cands, cfg.transform)
-            m = _resolve_m(gen, cfg.m_verifications)
-            self.weights = np.array(list(_gen_means(gen, m).values()))
+            self.m = _resolve_m(gen, cfg.m_verifications)
+            self.weights = np.array(list(_gen_means(gen, self.m).values()))
         elif cfg.method != "sc":
             self.weights = np.array(
                 list(candidate_scores(cands, cfg.transform).values())
             )
-        self.objective = _objective(cfg.method, cfg.n, cfg.effective_alpha, m)
 
-    def outcome(self, idx: np.ndarray) -> float:
-        """1.0 when the rule's pick on the slate idx is correct, else 0.0."""
+
+class _PoolStack:
+    """Pools of one size k (and one gpv M), stacked, for scoring slates of
+    any of them in one batch.
+
+    A slate only counts and sums its clusters; the objective and the tie
+    order are selection.py's.
+    """
+
+    def __init__(self, pools: Sequence[_PoolArrays], cfg: EvalConfig):
+        self.k, self.n = pools[0].k, cfg.n
+        width = max(len(p.correct) for p in pools)
+        self.correct = np.zeros((len(pools), width))
+        for row, pool in zip(self.correct, pools):
+            row[: len(pool.correct)] = pool.correct
+        self.codes = np.stack([p.codes for p in pools])
+        self.selectable = np.arange(width) != np.array(
+            [p.none_code for p in pools])[:, None]
+        self.rank = self.by_rank = self.weights = None
+        if cfg.method == "bon":
+            self.rank = np.stack([p.rank for p in pools])
+            # the label of the candidate at each rank; rank k never wins
+            self.by_rank = np.zeros((len(pools), self.k + 1), bool)
+            for row, pool in zip(self.by_rank, pools):
+                row[pool.rank] = np.array(pool.correct, bool)[pool.codes]
+            self.by_rank[:, self.k] = False
+        elif pools[0].weights is not None:
+            self.weights = np.stack([p.weights for p in pools])
+        self.objective = _objective(cfg.method, cfg.n, cfg.effective_alpha,
+                                    pools[0].m)
+        # rows per chunk: _CHUNK slate elements or bincount cells, and
+        # 8 * _CHUNK bytes of Floyd's taken-candidate bitmap
+        self.step = max(1, _CHUNK // max(self.n, width, self.k // 8))
+
+    def score(self, pool: np.ndarray, slates: np.ndarray) -> np.ndarray:
+        """1.0 where the rule's pick on a slate is correct, else 0.0; row r
+        of slates holds candidate positions in pool pool[r]."""
+        at = slates + (pool * self.k)[:, None]
         if self.rank is not None:
-            ranks = self.rank[idx]
-            best = int(np.argmin(ranks))
-            if ranks[best] == self.k:
-                return 0.0
-            return self.correct[self.codes[idx[best]]]
+            best = self.rank.ravel()[at].min(axis=1)
+            return self.by_rank[pool, best].astype(float)
+        rows, width = len(pool), self.correct.shape[1]
+        cells = np.add(self.codes.ravel()[at], (np.arange(rows) * width)[:, None],
+                       dtype=np.int64).ravel()
+        # bincount adds in index order, so each row sums in slate order
+        counts = np.bincount(cells, minlength=rows * width).reshape(rows, width)
+        totals = counts if self.weights is None else np.bincount(
+            cells, self.weights.ravel()[at].ravel(), rows * width
+        ).reshape(rows, width)
+        live = (counts > 0) & self.selectable[pool]
+        value = np.full((rows, width), -np.inf)
+        value[live] = self.objective(totals[live], counts[live])[1]
+        # selection._order's minimum: objective, then support, descending;
+        # then code
+        tied = live & (value == value.max(axis=1, keepdims=True))
+        tied &= counts == np.where(tied, counts, -1).max(axis=1, keepdims=True)
+        pick = tied.argmax(axis=1)
+        return np.where(tied.any(axis=1), self.correct[pool, pick], 0.0)
 
-        codes = self.codes[idx]
-        counts = np.bincount(codes).tolist()
-        if self.weights is None:
-            totals = counts  # sc's objective reads no total
-        else:
-            totals = np.bincount(codes, weights=self.weights[idx]).tolist()
-        objective = self.objective
-        present = [
-            (objective(totals[code], n_a)[1], n_a, code)
-            for code, n_a in enumerate(counts)
-            if n_a and code != self.none_code
-        ]
-        return self.correct[min(present, key=_order)[2]] if present else 0.0
+    def sampled(self, cfg: EvalConfig, pids: Sequence[str]) -> np.ndarray:
+        """Per-draw accuracies, shape (pools, cfg.draws)."""
+        bulk = not cfg.replacement and self.k <= _MAX_BULK_POOL
+        if bulk:
+            keys = np.array([_slate_key(cfg.seed, pid) for pid in pids])
+        total = len(pids) * cfg.draws
+        out = np.empty(total)
+        for start in range(0, total, self.step):
+            pool, draw = np.divmod(
+                np.arange(start, min(start + self.step, total)), cfg.draws
+            )
+            if bulk:
+                # only summed scores depend on the order within a slate
+                slates, redo = _draw_slates(keys[pool], draw, self.k, self.n,
+                                            ordered=self.weights is not None)
+            else:
+                slates = np.empty((len(draw), self.n), np.intp)
+                redo = np.ones(len(draw), bool)
+            for r in np.flatnonzero(redo):
+                rng = slate_rng(cfg.seed, pids[pool[r]], int(draw[r]))
+                slates[r] = rng.choice(self.k, size=self.n,
+                                       replace=cfg.replacement)
+            out[start:start + len(draw)] = self.score(pool, slates)
+        return out.reshape(len(pids), cfg.draws)
+
+    def exhaustive(self, pool: int) -> np.ndarray:
+        """One accuracy per C(k, n) slate of a pool, in combinations order."""
+        combos = itertools.combinations(range(self.k), self.n)
+        out = []
+        while True:
+            flat = np.fromiter(itertools.chain.from_iterable(
+                itertools.islice(combos, self.step)), np.intp)
+            if not flat.size:
+                return np.concatenate(out)
+            slates = flat.reshape(-1, self.n)
+            out.append(self.score(np.full(len(slates), pool), slates))
 
 
 def _workers(jobs: int, tasks: int) -> int:
@@ -224,26 +434,44 @@ def _workers(jobs: int, tasks: int) -> int:
     return min(jobs, os.cpu_count() or 1, tasks)
 
 
+def _eval_problems(
+    args: tuple[Sequence[Problem], EvalConfig, bool]
+) -> list[np.ndarray]:
+    """Per-draw 0/1 accuracy vectors, one per problem, in order.
+
+    Every problem is checked before any slate is drawn. Problems of equal
+    pool size (and gpv M) are drawn and scored together, a chunk of rows
+    at a time; no row depends on the problems it shares a chunk with.
+    """
+    problems, cfg, exhaustive = args
+    pools = []
+    for problem in problems:
+        pools.append(_PoolArrays(problem, cfg))
+        if not (exhaustive or cfg.replacement) and cfg.n > pools[-1].k:
+            raise ValueError(f"slate too large: n={cfg.n} > pool "
+                             f"{pools[-1].k} for {problem.problem_id!r}")
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, pool in enumerate(pools):
+        groups.setdefault((pool.k, pool.m), []).append(i)
+    stacks = [(members, _PoolStack([pools[i] for i in members], cfg))
+              for members in groups.values()]
+    del pools  # the stacks hold all that scoring reads
+
+    out: list[np.ndarray] = [np.empty(0)] * len(problems)
+    for members, stack in stacks:
+        if exhaustive:
+            rows = [stack.exhaustive(j) for j in range(len(members))]
+        else:
+            rows = stack.sampled(cfg, [problems[i].problem_id for i in members])
+        for i, row in zip(members, rows):
+            out[i] = row
+    return out
+
+
 def _eval_problem(args: tuple[Problem, EvalConfig, bool]) -> np.ndarray:
     """Per-draw 0/1 accuracy vector for one problem."""
     problem, cfg, exhaustive = args
-    pool = _PoolArrays(problem, cfg)
-    k = pool.k
-
-    if exhaustive:
-        slates = itertools.combinations(range(k), cfg.n)
-        return np.array([pool.outcome(np.array(s)) for s in slates])
-
-    if not cfg.replacement and cfg.n > k:
-        raise ValueError(
-            f"slate too large: n={cfg.n} > pool {k} for {problem.problem_id!r}"
-        )
-    out = np.empty(cfg.draws)
-    for t in range(cfg.draws):
-        rng = slate_rng(cfg.seed, problem.problem_id, t)
-        idx = rng.choice(k, size=cfg.n, replace=cfg.replacement)
-        out[t] = pool.outcome(idx)
-    return out
+    return _eval_problems(([problem], cfg, exhaustive))[0]
 
 
 def bootstrap_accuracy(
@@ -279,14 +507,15 @@ def bootstrap_accuracy(
             raise ValueError(f"exhaustive mode: C({k}, {cfg.n}) slates per "
                              f"problem, more than {_MAX_EXHAUSTIVE_SLATES:,}")
 
-    work = [(p, cfg, exhaustive) for p in problems]
-    workers = _workers(jobs, len(work))
+    workers = _workers(jobs, len(problems))
     if workers > 1:
+        size = -(-len(problems) // (workers * 4))
+        work = [(problems[i:i + size], cfg, exhaustive)
+                for i in range(0, len(problems), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(work) // (workers * 4))
-            rows = list(pool.map(_eval_problem, work, chunksize=chunk))
+            rows = [row for part in pool.map(_eval_problems, work) for row in part]
     else:
-        rows = [_eval_problem(w) for w in work]
+        rows = _eval_problems((problems, cfg, exhaustive))
 
     resolved_m = None  # the first pool's M, once every pool has been checked
     if cfg.method == "gpv":

@@ -117,7 +117,7 @@ def _candidate_of(lineno: int, record: dict, canon: str) -> Candidate:
             reasoning_budget=record.get("reasoning_budget"),
             verification_out_tokens=record.get("verification_out_tokens"),
         )
-        return Candidate(
+        candidate = Candidate(
             candidate_id=record["candidate_id"],
             answer_raw=raw,
             answer_key=canonicalize_answer(raw, canon),
@@ -128,6 +128,12 @@ def _candidate_of(lineno: int, record: dict, canon: str) -> Candidate:
         )
     except (TypeError, ValueError) as exc:
         raise IngestError(f"line {lineno}: {exc}") from None
+    if correct and not candidate.answer_key:
+        raise IngestError(
+            f"line {lineno}: candidate {candidate.candidate_id!r}: "
+            "no answer, but labeled correct"
+        )
+    return candidate
 
 
 def ingest(source: Source, canon: str = "exact") -> list[Problem]:

@@ -131,10 +131,12 @@ def _objective(method: str, n_total: int = 1, alpha: float = 0.0, m: int = 1):
     total is the cluster's summed per-candidate score and n_a its support;
     n_total is the pool (or slate) size N. sc maximizes n_a and wsc total,
     with no penalty. pv and gpv maximize total/n_a - alpha * psi_a with
-    psi_a = ln(N*M) / (n_a*M + 1); pv is the M = 1 case.
+    psi_a = ln(N*M) / (n_a*M + 1); pv is the M = 1 case. total and n_a
+    may be numpy arrays of one shape: the arithmetic is the same, so each
+    element gets the double a scalar call would.
     """
     if method == "sc":
-        return lambda total, n_a: (None, float(n_a))
+        return lambda total, n_a: (None, n_a * 1.0)
     if method == "wsc":
         return lambda total, n_a: (None, total)
     if alpha < 0:

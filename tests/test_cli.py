@@ -405,3 +405,14 @@ class TestSubprocess:
         parallel = evaluate(2)
         assert first.stdout == again.stdout == parallel.stdout
         assert json.loads(first.stdout)["method"] == "pv"
+
+
+class TestBtlossOutputFile:
+    def test_grad_check_writes_the_output_file(self, capsys, tmp_path):
+        target = tmp_path / "audit.json"
+        code, out, _ = run(capsys, ["btloss", "--grad-check", "-o", str(target)])
+        assert code == 0 and out == ""
+        doc = json.loads(target.read_text())
+        assert doc["pass"] is True and doc["checks"] > 0
+        code, stdout, _ = run(capsys, ["btloss", "--grad-check"])
+        assert stdout == target.read_text()

@@ -416,3 +416,38 @@ class TestEmitReport:
             emit_report(report_fixture(), fmt="yaml")
         with pytest.raises(ValueError, match="csv format applies"):
             emit_report({"a": 1.0}, fmt="csv")
+
+
+class TestBlankAnswers:
+    """An answer of only whitespace canonicalizes to nothing: the candidate
+    joins the no-answer cluster, and may not be labeled correct."""
+
+    @pytest.mark.parametrize("canon", ["exact", "numeric"])
+    def test_whitespace_answer_has_no_answer(self, canon):
+        text = "\n".join([
+            line(candidate_id="c", answer="   ", correct=False),
+            line(candidate_id="d", answer=" \t\n", correct=False),
+            line(candidate_id="e", answer="7", correct=True),
+        ])
+        (problem,) = ingest_text(text, canon=canon)
+        assert [c.cluster_key for c in problem.candidates] == ["<none>", "<none>", "7"]
+        assert problem.candidates[0].answer_raw == "   "
+        assert ingest_text(records_text([problem]), canon=canon) == [problem]
+
+    def test_unlabeled_whitespace_answer(self):
+        (problem,) = ingest_text('{"problem_id": "p", "candidate_id": "c", "answer": "   "}')
+        assert problem.candidates[0].cluster_key == "<none>"
+
+    @pytest.mark.parametrize("answer", ["   ", "", None])
+    def test_labeled_correct_without_answer_fails(self, answer):
+        record = {"answer": answer} if answer is not None else {}
+        with pytest.raises(
+            IngestError, match="^line 2: candidate 'c': no answer, but labeled correct$"
+        ):
+            ingest_text(line(candidate_id="e", answer="7", correct=False) + "\n"
+                        + line(candidate_id="c", correct=True, **record))
+
+    def test_candidate_keeps_its_rule_for_text(self):
+        with pytest.raises(ValueError, match="answer_key empty"):
+            Candidate(candidate_id="c", answer_raw=" 42 ", answer_key="")
+        assert Candidate(candidate_id="c", answer_raw=" \t").cluster_key == "<none>"

@@ -6,6 +6,7 @@ so pools can be evaluated concurrently without shared state.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,6 +68,24 @@ class TokenStats:
             _check_token_count("verification_out_tokens", self.verification_out_tokens)
 
 
+# Score types, as json.loads gives numbers; a bool is a type of its own.
+_NUMBER_TYPES = frozenset((int, float))
+_FLOAT = frozenset((float,))
+
+
+def _floats(values) -> Optional[tuple[float, ...]]:
+    """values as floats if each is a finite int or float, else None."""
+    try:
+        values = tuple(values)
+        if not _FLOAT.issuperset(map(type, values)):  # convert ints, refuse the rest
+            if not _NUMBER_TYPES.issuperset(map(type, values)):
+                return None
+            values = tuple(map(float, values))
+        return values if all(map(math.isfinite, values)) else None
+    except (TypeError, OverflowError):  # not iterable; an int past float range
+        return None
+
+
 @dataclass(frozen=True)
 class Candidate:
     """One sampled solution: its answer, optional label, and verifier scores.
@@ -74,6 +93,12 @@ class Candidate:
     disc_score is the raw logit from a discriminative verifier; gen_scores
     are the per-verification scores from a generative verifier (length M,
     uniform within a problem).
+
+    The one statement of a valid candidate; ValueError names the first
+    broken rule: answer_raw is a string; correct is None or a bool; each
+    score is a finite int or float (stored as a float), never a bool;
+    gen_scores is non-empty; non-blank answer_raw has an answer_key, and
+    no answer_key is NO_ANSWER_KEY; labeled correct needs an answer.
     """
 
     candidate_id: str
@@ -85,18 +110,30 @@ class Candidate:
     token_stats: TokenStats = TokenStats()  # one shared, immutable default
 
     def __post_init__(self) -> None:
-        if self.answer_raw.strip() and not self.answer_key:
-            raise ValueError(
-                f"candidate {self.candidate_id!r}: answer_key empty "
-                "but answer_raw is not blank"
-            )
+        cid, raw, disc = self.candidate_id, self.answer_raw, self.disc_score
+        if not isinstance(raw, str):
+            raise ValueError(f"candidate {cid!r}: answer must be a string, got {raw!r}")
+        if self.correct is not None and not isinstance(self.correct, bool):
+            raise ValueError(f"correct must be true or false, got {self.correct!r}")
+        if disc is not None and (type(disc) is not float or not math.isfinite(disc)):
+            if _floats((disc,)) is None:
+                raise ValueError(f"disc_score must be a finite number, got {disc!r}")
+            object.__setattr__(self, "disc_score", float(disc))
         if self.gen_scores is not None:
-            if not isinstance(self.gen_scores, tuple):
-                object.__setattr__(self, "gen_scores", tuple(self.gen_scores))
-            if len(self.gen_scores) < 1:
+            gen = _floats(self.gen_scores)
+            if gen is None:
                 raise ValueError(
-                    f"candidate {self.candidate_id!r}: gen_scores must be non-empty"
-                )
+                    f"gen_scores must be finite numbers, got {self.gen_scores!r}")
+            if not gen:
+                raise ValueError(f"candidate {cid!r}: gen_scores must be non-empty")
+            object.__setattr__(self, "gen_scores", gen)
+        if raw.strip() and not self.answer_key:
+            raise ValueError(
+                f"candidate {cid!r}: answer_key empty but answer_raw is not blank")
+        if self.answer_key == NO_ANSWER_KEY:
+            raise ValueError(f"candidate {cid!r}: answer {NO_ANSWER_KEY!r} is reserved")
+        if self.correct and not self.answer_key:
+            raise ValueError(f"candidate {cid!r}: no answer, but labeled correct")
 
     @property
     def cluster_key(self) -> str:

@@ -314,7 +314,6 @@ class _PoolArrays:
         self.none_code = code_of.get(NO_ANSWER_KEY, -1)
         self.correct = [graded[key] for key in keys]
 
-        self.m = 1
         self.rank = self.weights = None
         if cfg.method == "bon":
             ranked = _bon_ranking(cands, candidate_scores(cands, "raw"))
@@ -325,8 +324,8 @@ class _PoolArrays:
             )
         elif cfg.method == "gpv":
             gen = candidate_gen_scores(cands, cfg.transform)
-            self.m = _resolve_m(gen, cfg.m_verifications)
-            self.weights = np.array(list(_gen_means(gen, self.m).values()))
+            m = _resolve_m(gen, cfg.m_verifications)
+            self.weights = np.array(list(_gen_means(gen, m).values()))
         elif cfg.method != "sc":
             self.weights = np.array(
                 list(candidate_scores(cands, cfg.transform).values())
@@ -334,8 +333,8 @@ class _PoolArrays:
 
 
 class _PoolStack:
-    """Pools of one size k (and one gpv M), stacked, for scoring slates of
-    any of them in one batch.
+    """Pools of one size k, stacked, for scoring slates of any of them in
+    one batch; cfg gives gpv's M.
 
     A slate only counts and sums its clusters; the objective and the tie
     order are selection.py's.
@@ -360,8 +359,8 @@ class _PoolStack:
             self.by_rank[:, self.k] = False
         elif pools[0].weights is not None:
             self.weights = np.stack([p.weights for p in pools])
-        self.objective = _objective(cfg.method, cfg.n, cfg.effective_alpha,
-                                    pools[0].m)
+        m = cfg.m_verifications if cfg.method == "gpv" else 1
+        self.objective = _objective(cfg.method, cfg.n, cfg.effective_alpha, m)
         # rows per chunk: _CHUNK slate elements or bincount cells, and
         # 8 * _CHUNK bytes of Floyd's taken-candidate bitmap
         self.step = max(1, _CHUNK // max(self.n, width, self.k // 8))
@@ -434,25 +433,42 @@ def _workers(jobs: int, tasks: int) -> int:
     return min(jobs, os.cpu_count() or 1, tasks)
 
 
+def _with_m(problems: Sequence[Problem], cfg: EvalConfig) -> EvalConfig:
+    """cfg with gpv's M filled in: the gen_scores length of every problem.
+
+    Raises ValueError when the problems' lengths differ; then M must be
+    given. Problems without gen_scores fail later, when they are scored.
+    """
+    if cfg.method != "gpv" or cfg.m_verifications is not None:
+        return cfg
+    lengths = {len(p.candidates[0].gen_scores) for p in problems
+               if p.candidates and p.candidates[0].gen_scores}
+    if len(lengths) > 1:
+        raise ValueError(f"inconsistent M across problems (gen_scores lengths "
+                         f"{sorted(lengths)}): give M")
+    return dataclasses.replace(cfg, m_verifications=lengths.pop()) if lengths else cfg
+
+
 def _eval_problems(
     args: tuple[Sequence[Problem], EvalConfig, bool]
 ) -> list[np.ndarray]:
     """Per-draw 0/1 accuracy vectors, one per problem, in order.
 
     Every problem is checked before any slate is drawn. Problems of equal
-    pool size (and gpv M) are drawn and scored together, a chunk of rows
-    at a time; no row depends on the problems it shares a chunk with.
+    pool size are drawn and scored together, a chunk of rows at a time; no
+    row depends on the problems it shares a chunk with.
     """
     problems, cfg, exhaustive = args
+    cfg = _with_m(problems, cfg)
     pools = []
     for problem in problems:
         pools.append(_PoolArrays(problem, cfg))
-        if not (exhaustive or cfg.replacement) and cfg.n > pools[-1].k:
+        if not cfg.replacement and cfg.n > pools[-1].k:
             raise ValueError(f"slate too large: n={cfg.n} > pool "
                              f"{pools[-1].k} for {problem.problem_id!r}")
-    groups: dict[tuple[int, int], list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for i, pool in enumerate(pools):
-        groups.setdefault((pool.k, pool.m), []).append(i)
+        groups.setdefault(pool.k, []).append(i)
     stacks = [(members, _PoolStack([pools[i] for i in members], cfg))
               for members in groups.values()]
     del pools  # the stacks hold all that scoring reads
@@ -491,6 +507,9 @@ def bootstrap_accuracy(
     With exhaustive=True, draws and seed are ignored and every C(k, n) slate
     is scored once; pool sizes must then match across problems so draws
     stay aligned, and C(k, n) may not exceed 10**6.
+
+    gpv's M is cfg.m_verifications, else the gen_scores length that every
+    problem shares (a ValueError when they differ); the report echoes it.
     """
     if not problems:
         raise ValueError("no problems")
@@ -501,12 +520,11 @@ def bootstrap_accuracy(
         if len(sizes) != 1:
             raise ValueError("exhaustive mode needs equal pool sizes")
         k = sizes.pop()
-        if cfg.n > k:
-            raise ValueError("slate too large")
         if math.comb(k, cfg.n) > _MAX_EXHAUSTIVE_SLATES:
             raise ValueError(f"exhaustive mode: C({k}, {cfg.n}) slates per "
                              f"problem, more than {_MAX_EXHAUSTIVE_SLATES:,}")
 
+    cfg = _with_m(problems, cfg)
     workers = _workers(jobs, len(problems))
     if workers > 1:
         size = -(-len(problems) // (workers * 4))
@@ -516,11 +534,6 @@ def bootstrap_accuracy(
             rows = [row for part in pool.map(_eval_problems, work) for row in part]
     else:
         rows = _eval_problems((problems, cfg, exhaustive))
-
-    resolved_m = None  # the first pool's M, once every pool has been checked
-    if cfg.method == "gpv":
-        gen = candidate_gen_scores(problems[0].candidates, cfg.transform)
-        resolved_m = _resolve_m(gen, cfg.m_verifications)
 
     matrix = np.vstack(rows)
     per_problem = matrix.mean(axis=1)
@@ -552,7 +565,7 @@ def bootstrap_accuracy(
         replacement=cfg.replacement,
         transform=cfg.transform,
         alpha=cfg.effective_alpha if cfg.method in ("pv", "gpv") else None,
-        m=resolved_m,
+        m=cfg.m_verifications if cfg.method == "gpv" else None,
         per_problem=tuple(
             (p.problem_id, float(acc)) for p, acc in zip(problems, per_problem)
         ),

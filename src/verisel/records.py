@@ -2,9 +2,9 @@
 
 One flat line-delimited format serves real data, synthetic data, and test
 fixtures: one JSON object per candidate, grouped by problem_id (contiguous
-or not). Ingestion canonicalizes answers and checks each record, failing
-loudly with its line number; the per-problem invariants are checked by
-Problem itself, whose errors name the problem. Emission is byte-stable so
+or not). Ingestion canonicalizes answers and maps each record to a
+Candidate, whose errors (and TokenStats') ingest prefixes with the line
+number; Problem's errors name the problem. Emission is byte-stable so
 identical inputs produce identical files.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 import io
 import json
 import logging
-import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -25,19 +24,11 @@ from .evaluate import BootstrapReport, BudgetPoint
 
 log = logging.getLogger("verisel")
 
+# TokenStats' fields, which records spell the same way.
+_TOKEN_FIELDS = tuple(f.name for f in fields(TokenStats))
 RECORD_FIELDS = (
-    "problem_id",
-    "candidate_id",
-    "answer",
-    "correct",
-    "disc_score",
-    "gen_scores",
-    "prompt_tokens",
-    "output_tokens",
-    "solution_tokens",
-    "reasoning_budget",
-    "verification_out_tokens",
-)
+    "problem_id", "candidate_id", "answer", "correct", "disc_score", "gen_scores",
+) + _TOKEN_FIELDS
 
 Source = Union[str, Path, IO[str]]
 
@@ -78,62 +69,23 @@ def _parse_line(lineno: int, line: str) -> dict:
     return record
 
 
-# The types json.loads gives numbers; booleans are a type of their own.
-_NUMBER_TYPES = frozenset((int, float))
-
-
-def _finite(values) -> bool:
-    """True when every value is a finite JSON number."""
-    try:
-        return _NUMBER_TYPES.issuperset(map(type, values)) and all(
-            map(math.isfinite, values)
-        )
-    except (TypeError, OverflowError):
-        return False
-
-
 def _candidate_of(lineno: int, record: dict, canon: str) -> Candidate:
-    raw = record.get("answer", "") or ""
-    correct = record.get("correct")
-    if correct is not None and not isinstance(correct, bool):
-        raise IngestError(
-            f"line {lineno}: correct must be true or false, got {correct!r}"
-        )
-    disc = record.get("disc_score")
-    if disc is not None and not _finite((disc,)):
-        raise IngestError(
-            f"line {lineno}: disc_score must be a finite number, got {disc!r}"
-        )
-    gen = record.get("gen_scores")
-    if gen is not None and not _finite(gen):
-        raise IngestError(
-            f"line {lineno}: gen_scores must be finite numbers, got {gen!r}"
-        )
+    raw = record.get("answer")
+    raw = "" if raw is None else raw  # null or absent: no answer
     try:
-        stats = TokenStats(
-            prompt_tokens=record.get("prompt_tokens", 0),
-            output_tokens=record.get("output_tokens", 0),
-            solution_tokens=record.get("solution_tokens", 0),
-            reasoning_budget=record.get("reasoning_budget"),
-            verification_out_tokens=record.get("verification_out_tokens"),
-        )
-        candidate = Candidate(
+        return Candidate(
             candidate_id=record["candidate_id"],
             answer_raw=raw,
-            answer_key=canonicalize_answer(raw, canon),
-            correct=correct,
-            disc_score=None if disc is None else float(disc),
-            gen_scores=None if gen is None else tuple(map(float, gen)),
-            token_stats=stats,
+            # Candidate rejects an answer that is not text
+            answer_key=canonicalize_answer(raw, canon) if isinstance(raw, str) else "",
+            correct=record.get("correct"),
+            disc_score=record.get("disc_score"),
+            gen_scores=record.get("gen_scores"),
+            token_stats=TokenStats(
+                **{name: record[name] for name in _TOKEN_FIELDS if name in record}),
         )
     except (TypeError, ValueError) as exc:
         raise IngestError(f"line {lineno}: {exc}") from None
-    if correct and not candidate.answer_key:
-        raise IngestError(
-            f"line {lineno}: candidate {candidate.candidate_id!r}: "
-            "no answer, but labeled correct"
-        )
-    return candidate
 
 
 def ingest(source: Source, canon: str = "exact") -> list[Problem]:

@@ -53,6 +53,8 @@ class SynthSpec:
     wrong_tail: float = 0.0
 
     def __post_init__(self) -> None:
+        if not 0 <= self.seed < 2**63:
+            raise ValueError(f"seed out of range [0, 2**63): {self.seed}")
         if self.n_problems < 1 or self.pool_size < 1 or self.answer_space < 1:
             raise ValueError(
                 "n_problems, pool_size, and answer_space must be positive"

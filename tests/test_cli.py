@@ -92,6 +92,23 @@ class TestEvaluate:
         ])
         assert code == 2 and "error: inconsistent M" in err
 
+    def test_mixed_m_needs_m_flag(self, capsys, monkeypatch):
+        records = [
+            {"problem_id": pid, "candidate_id": cid, "answer": answer,
+             "correct": answer == "a", "gen_scores": [0.5 + 0.1 * j] * m}
+            for pid, m in (("p1", 1), ("p2", 2))
+            for j, (cid, answer) in enumerate((("c1", "a"), ("c2", "b"), ("c3", "a")))
+        ]
+        argv = ["evaluate", "--method", "gpv", "-n", "2", "--draws", "5"]
+        code, out, err = run(capsys, argv, stdin=jsonl(*records),
+                             monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert "error: inconsistent M across problems (gen_scores lengths [1, 2])" \
+            in err
+        code, out, _ = run(capsys, argv + ["-M", "1"], stdin=jsonl(*records),
+                           monkeypatch=monkeypatch)
+        assert code == 0 and json.loads(out)["m"] == 1
+
     def test_bad_records_fail_with_line(self, capsys, monkeypatch):
         code, _, err = run(
             capsys,
@@ -278,6 +295,12 @@ class TestSimulate:
         assert exc.value.code == 2
         assert "expected two numbers, got '1,2,3'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "9223372036854775808"])
+    def test_seed_out_of_range_fails(self, capsys, seed):
+        code, out, err = run(capsys, ["--seed", seed, "simulate", "--n-problems", "1"])
+        assert code == 2 and out == ""
+        assert err.strip() == f"error: seed out of range [0, 2**63): {seed}"
+
 
 class TestSelect:
     POOL = jsonl(
@@ -290,6 +313,19 @@ class TestSelect:
         {"problem_id": "p2", "candidate_id": "c1", "answer": "z",
          "disc_score": 0.0},
     )
+
+    def test_reserved_answer_fails(self, capsys, monkeypatch):
+        # a real answer spelled <none> would share the unselectable cluster
+        pool = jsonl(
+            {"problem_id": "p1", "candidate_id": "c1", "answer": "<none>",
+             "correct": True, "disc_score": 0.9},
+            {"problem_id": "p1", "candidate_id": "c2", "answer": "7",
+             "correct": False, "disc_score": 0.1},
+        )
+        code, out, err = run(capsys, ["select", "--method", "bon"],
+                             stdin=pool, monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert "error: line 1: candidate 'c1': answer '<none>' is reserved" in err
 
     def test_pv_objectives_raw(self, capsys, monkeypatch):
         code, out, _ = run(

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,48 @@ class TestCandidate:
             Candidate(candidate_id="c", gen_scores=())
         c = Candidate(candidate_id="c", gen_scores=[0.1, 0.2])
         assert c.gen_scores == (0.1, 0.2)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"correct": 1}, "correct must be true or false, got 1"),
+        ({"correct": np.bool_(True)}, "correct must be true or false"),
+        ({"disc_score": float("nan")}, "disc_score must be a finite number"),
+        ({"disc_score": float("-inf")}, "disc_score must be a finite number"),
+        ({"disc_score": True}, "disc_score must be a finite number, got True"),
+        ({"disc_score": 10**400}, "disc_score must be a finite number"),
+        ({"disc_score": "0.5"}, "disc_score must be a finite number"),
+        ({"gen_scores": (0.5, float("inf"))}, "gen_scores must be finite numbers"),
+        ({"gen_scores": (False,)}, "gen_scores must be finite numbers"),
+        ({"gen_scores": 0.5}, "gen_scores must be finite numbers, got 0.5"),
+        ({"answer_raw": 42, "answer_key": "42"}, "answer must be a string, got 42"),
+        ({"answer_raw": None}, "answer must be a string, got None"),
+        ({"answer_raw": "<none>", "answer_key": "<none>"}, "'<none>' is reserved"),
+        ({"answer_key": "<none>"}, "'<none>' is reserved"),
+        ({"correct": True}, "candidate 'c': no answer, but labeled correct"),
+    ], ids=[
+        "label-int", "label-numpy-bool", "disc-nan", "disc-minus-inf", "disc-bool",
+        "disc-huge-int", "disc-text", "gen-inf", "gen-bool", "gen-not-a-list",
+        "answer-int", "answer-none", "answer-reserved", "key-reserved",
+        "correct-without-answer",
+    ])
+    def test_rules_hold_for_candidates_built_in_code(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Candidate(candidate_id="c", **fields)
+
+    def test_labeled_nan_candidate_is_refused(self):
+        # wsc used to pick such a candidate's NaN cluster
+        with pytest.raises(ValueError, match="correct must be true or false"):
+            Candidate(candidate_id="c", answer_raw="a", answer_key="a",
+                      correct=1, disc_score=float("nan"))
+        with pytest.raises(ValueError, match="disc_score must be a finite number"):
+            Candidate(candidate_id="c", answer_raw="a", answer_key="a",
+                      correct=True, disc_score=float("nan"))
+
+    def test_scores_are_stored_as_floats(self):
+        c = Candidate(candidate_id="c", disc_score=1, gen_scores=[1, 2.5])
+        assert c.disc_score == 1.0 and type(c.disc_score) is float
+        assert c.gen_scores == (1.0, 2.5)
+        assert [type(g) for g in c.gen_scores] == [float, float]
+        assert Candidate(candidate_id="c", gen_scores=iter([0.5])).gen_scores == (0.5,)
 
 
 class TestProblem:

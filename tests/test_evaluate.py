@@ -19,6 +19,7 @@ from verisel import (
     LatencyTable,
     ModelConfig,
     Problem,
+    SynthSpec,
     TokenStats,
     bootstrap_accuracy,
     budget_curve,
@@ -26,6 +27,7 @@ from verisel import (
     crossover_threshold,
     flops_disc_verification,
     flops_generation,
+    generate_pool,
     pass_at_n,
     select_answer,
     slate_rng,
@@ -285,12 +287,29 @@ class TestBootstrap:
         problems = self.problems(rng)
         sc = bootstrap_accuracy(problems, EvalConfig(n=2, draws=10))
         assert sc.alpha is None and sc.m is None
-        m = len(problems[0].candidates[0].gen_scores)
+        # these pools have M = 3, 2, 1, 3, 1; every one has M = 1
         gpv = bootstrap_accuracy(
-            problems, EvalConfig(n=2, method="gpv", draws=10,
-                                 m_verifications=None)
+            problems, EvalConfig(n=2, method="gpv", draws=10, m_verifications=1)
         )
-        assert gpv.alpha == 0.1 and gpv.m == m
+        assert gpv.alpha == 0.1 and gpv.m == 1
+
+    def test_shared_m_is_echoed(self):
+        problems = generate_pool(SynthSpec(seed=3, n_problems=4, pool_size=6,
+                                           p_correct=0.5, gen_verifications=3))
+        cfg = EvalConfig(n=2, method="gpv", draws=10)
+        report = bootstrap_accuracy(problems, cfg)
+        assert report.m == 3
+        assert report == bootstrap_accuracy(
+            problems, dataclasses.replace(cfg, m_verifications=3))
+
+    def test_mixed_m_needs_m(self):
+        rng = np.random.default_rng(35)
+        problems = self.problems(rng)  # M = 3, 2, 1, 3, 1
+        with pytest.raises(ValueError, match=r"^inconsistent M .*\[1, 2, 3\]"):
+            bootstrap_accuracy(problems, EvalConfig(n=2, method="gpv", draws=10))
+        with pytest.raises(ValueError, match=r"^inconsistent M .*\[1, 3\]"):
+            bootstrap_accuracy([problems[0], problems[2]],
+                               EvalConfig(n=2, method="gpv", draws=10), jobs=2)
 
     def test_identical_runs_identical_reports(self):
         rng = np.random.default_rng(36)
@@ -476,8 +495,10 @@ class TestExhaustive:
         problems = self.problems(rng, count=6)
         for method in METHODS:
             for n in (1, 2, 4):
+                # M = 1 is an M that every pool has
                 report = bootstrap_accuracy(
-                    problems, EvalConfig(n=n, method=method), exhaustive=True
+                    problems, EvalConfig(n=n, method=method, m_verifications=1),
+                    exhaustive=True,
                 )
                 for problem, (_, acc) in zip(problems, report.per_problem):
                     assert acc <= pass_at_n(problem, n) + 1e-12
@@ -488,7 +509,8 @@ class TestExhaustive:
         reference = None
         for method in METHODS:
             report = bootstrap_accuracy(
-                problems, EvalConfig(n=1, method=method), exhaustive=True
+                problems, EvalConfig(n=1, method=method, m_verifications=1),
+                exhaustive=True,
             )
             accs = [acc for _, acc in report.per_problem]
             if reference is None:
@@ -525,7 +547,7 @@ class TestExhaustive:
         def enumerate_slates(args):
             raise AssertionError("slates enumerated past the cap")
 
-        monkeypatch.setattr(evaluate_module, "_eval_problem", enumerate_slates)
+        monkeypatch.setattr(evaluate_module, "_eval_problems", enumerate_slates)
         rng = np.random.default_rng(50)
         wide = [random_problem(rng, min_size=128, max_size=128, labeled=True)]
         with pytest.raises(ValueError, match=r"C\(128, 32\)"):

@@ -3,6 +3,7 @@
 import io
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,13 @@ class TestIngestErrors:
         ):
             with pytest.raises(IngestError, match="line 2"):
                 ingest_text(line() + "\n" + line(candidate_id="c2", **bad))
+
+    def test_numbers_load_as_floats(self):
+        (problem,) = ingest_text(line(disc_score=1, gen_scores=[1, 2]))
+        (cand,) = problem.candidates
+        assert type(cand.disc_score) is float and cand.disc_score == 1.0
+        assert cand.gen_scores == (1.0, 2.0)
+        assert {type(g) for g in cand.gen_scores} == {float}
 
     def test_empty_input(self):
         with pytest.raises(IngestError, match="no problems"):
@@ -446,6 +454,28 @@ class TestBlankAnswers:
         ):
             ingest_text(line(candidate_id="e", answer="7", correct=False) + "\n"
                         + line(candidate_id="c", correct=True, **record))
+
+    @pytest.mark.parametrize("answer", [42, 0, False, ["7"], {}, 1.5])
+    def test_answer_that_is_not_text_fails(self, answer):
+        with pytest.raises(IngestError, match=re.escape(
+            f"line 2: candidate 'c': answer must be a string, got {answer!r}"
+        )):
+            ingest_text(line(candidate_id="e", answer="7") + "\n"
+                        + line(candidate_id="c", answer=answer))
+
+    @pytest.mark.parametrize("canon", ["exact", "numeric"])
+    @pytest.mark.parametrize("answer", ["<none>", " <none> "])
+    def test_reserved_no_answer_key_fails(self, answer, canon):
+        with pytest.raises(IngestError, match=re.escape(
+            "line 2: candidate 'c': answer '<none>' is reserved"
+        )):
+            ingest_text(line(candidate_id="e", answer="7") + "\n"
+                        + line(candidate_id="c", answer=answer), canon=canon)
+
+    def test_null_answer_is_no_answer(self):
+        (problem,) = ingest_text(line(answer=None, correct=False))
+        assert problem.candidates[0].answer_raw == ""
+        assert problem.candidates[0].cluster_key == "<none>"
 
     def test_candidate_keeps_its_rule_for_text(self):
         with pytest.raises(ValueError, match="answer_key empty"):

@@ -1,5 +1,7 @@
 """Synthetic pool generator: determinism, distributions, method ordering."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,16 @@ class TestSpecValidation:
             spec(correct_dist=(0.0, 2.0))
         with pytest.raises(ValueError, match="invalid verification count"):
             spec(gen_verifications=-1)
+
+    def test_seed_out_of_range(self):
+        # numpy's key goes through float64 from 2**63 on, so 2**63 and
+        # 2**63 + 1 would give one dataset
+        for seed in (-1, 2**63, 2**63 + 1, 2**64):
+            with pytest.raises(ValueError, match=re.escape(
+                f"seed out of range [0, 2**63): {seed}"
+            )):
+                spec(seed=seed)
+        assert generate_pool(spec(seed=2**63 - 1, n_problems=1))
 
     def test_wrong_tail_out_of_range(self):
         for share in (-0.1, 1.5):

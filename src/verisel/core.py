@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -32,8 +33,9 @@ class IngestError(VeriselError):
 
 
 def _check_token_count(name: str, value: int) -> None:
-    """A token count is a non-negative int; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    """A token count is a non-negative int, by exact type: a bool, or any
+    other int subclass, is not one."""
+    if type(value) is not int or value < 0:
         raise ValueError(f"invalid token count: {name}={value!r}")
 
 
@@ -95,10 +97,11 @@ class Candidate:
     uniform within a problem).
 
     The one statement of a valid candidate; ValueError names the first
-    broken rule: answer_raw is a string; correct is None or a bool; each
-    score is a finite int or float (stored as a float), never a bool;
-    gen_scores is non-empty; non-blank answer_raw has an answer_key, and
-    no answer_key is NO_ANSWER_KEY; labeled correct needs an answer.
+    broken rule: answer_raw and answer_key are strings; correct is None or
+    a bool; each score is a finite int or float (stored as a float), never
+    a bool; gen_scores is non-empty; non-blank answer_raw has an
+    answer_key, and no answer_key is NO_ANSWER_KEY; labeled correct needs
+    an answer.
     """
 
     candidate_id: str
@@ -110,9 +113,13 @@ class Candidate:
     token_stats: TokenStats = TokenStats()  # one shared, immutable default
 
     def __post_init__(self) -> None:
-        cid, raw, disc = self.candidate_id, self.answer_raw, self.disc_score
+        cid, raw, key = self.candidate_id, self.answer_raw, self.answer_key
+        disc = self.disc_score
         if not isinstance(raw, str):
             raise ValueError(f"candidate {cid!r}: answer must be a string, got {raw!r}")
+        if not isinstance(key, str):
+            raise ValueError(
+                f"candidate {cid!r}: answer_key must be a string, got {key!r}")
         if self.correct is not None and not isinstance(self.correct, bool):
             raise ValueError(f"correct must be true or false, got {self.correct!r}")
         if disc is not None and (type(disc) is not float or not math.isfinite(disc)):
@@ -127,12 +134,12 @@ class Candidate:
             if not gen:
                 raise ValueError(f"candidate {cid!r}: gen_scores must be non-empty")
             object.__setattr__(self, "gen_scores", gen)
-        if raw.strip() and not self.answer_key:
+        if raw.strip() and not key:
             raise ValueError(
                 f"candidate {cid!r}: answer_key empty but answer_raw is not blank")
-        if self.answer_key == NO_ANSWER_KEY:
+        if key == NO_ANSWER_KEY:
             raise ValueError(f"candidate {cid!r}: answer {NO_ANSWER_KEY!r} is reserved")
-        if self.correct and not self.answer_key:
+        if self.correct and not key:
             raise ValueError(f"candidate {cid!r}: no answer, but labeled correct")
 
     @property
@@ -231,7 +238,10 @@ def canonicalize_answer(raw: str, mode: str = "exact") -> str:
     whitespace runs. Mode "numeric" additionally parses a single number
     (integer, decimal, or fraction) and renders it in a fixed normal form:
     integers without a decimal point, non-integers as a reduced fraction
-    p/q. Unparsable text falls back to the exact-mode key; this never fails.
+    p/q. Unparsable text, and a number whose normal form would have more
+    digits than sys.get_int_max_str_digits() allows, fall back to the
+    exact-mode key; this never fails. Under that limit the time a call
+    takes is bounded by the answer's length, whatever its exponent.
     """
     if mode not in ("exact", "numeric"):
         raise ValueError(f"unknown canonicalization mode: {mode!r}")
@@ -239,12 +249,39 @@ def canonicalize_answer(raw: str, mode: str = "exact") -> str:
     if mode == "exact" or not key:
         return key
     try:
-        value = Fraction(key)
-    except (ValueError, ZeroDivisionError):
+        value = Fraction(_capped_exponent(key))
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except (ValueError, ZeroDivisionError):  # not a number; too many digits
         return key
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+
+
+# A decimal exponent as Fraction spells it, at the end of the text.
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\Z")
+
+
+def _capped_exponent(key: str) -> str:
+    """key with a decimal exponent past len(key) + the digit limit replaced
+    by one just past it, before Fraction computes 10**exponent.
+
+    Such an exponent puts the normal form of any nonzero number past the
+    limit (with at most len(key) digits of mantissa, scaling cannot bring
+    it back), and zero is zero at either exponent, so the key is the same.
+    """
+    found = _EXPONENT.search(key)
+    if found is None:
+        return key
+    limit = sys.get_int_max_str_digits()
+    if not limit:  # no limit set: nothing to fall back on
+        return key
+    cap = len(key) + limit
+    try:
+        if int(found[1]) <= cap:
+            return key
+    except ValueError:  # too many digits to read: Fraction refuses it as fast
+        return key
+    return f"{key[:found.start(1)]}{cap + 1}"
 
 
 def _sum_in_order(values: Iterable[float]) -> float:

@@ -29,6 +29,7 @@ _TOKEN_FIELDS = tuple(f.name for f in fields(TokenStats))
 RECORD_FIELDS = (
     "problem_id", "candidate_id", "answer", "correct", "disc_score", "gen_scores",
 ) + _TOKEN_FIELDS
+_KNOWN_FIELDS = frozenset(RECORD_FIELDS)
 
 Source = Union[str, Path, IO[str]]
 
@@ -69,15 +70,22 @@ def _parse_line(lineno: int, line: str) -> dict:
     return record
 
 
-def _candidate_of(lineno: int, record: dict, canon: str) -> Candidate:
+def _candidate_of(
+    lineno: int, record: dict, canon: str, keys: dict[str, str]
+) -> Candidate:
+    """The record's Candidate; keys caches canonicalize_answer per raw answer."""
     raw = record.get("answer")
     raw = "" if raw is None else raw  # null or absent: no answer
     try:
+        key = ""  # Candidate rejects an answer that is not text
+        if isinstance(raw, str):
+            key = keys.get(raw)
+            if key is None:
+                key = keys[raw] = canonicalize_answer(raw, canon)
         return Candidate(
             candidate_id=record["candidate_id"],
             answer_raw=raw,
-            # Candidate rejects an answer that is not text
-            answer_key=canonicalize_answer(raw, canon) if isinstance(raw, str) else "",
+            answer_key=key,
             correct=record.get("correct"),
             disc_score=record.get("disc_score"),
             gen_scores=record.get("gen_scores"),
@@ -93,22 +101,25 @@ def ingest(source: Source, canon: str = "exact") -> list[Problem]:
 
     Candidates sharing a problem_id are pooled whether or not their lines
     are contiguous; first-seen order of problems and candidates is kept.
-    Unknown fields are ignored with one warning per field name.
+    Unknown fields are ignored with one warning per field name. Each
+    distinct answer text is canonicalized once per call.
     """
     stream, owned = _open_source(source)
     pools: dict[str, list[Candidate]] = {}
+    keys: dict[str, str] = {}  # raw answer -> canonical key, for this call only
     warned: set[str] = set()
     try:
         for lineno, line in enumerate(stream, 1):
             if not line.strip():
                 continue
             record = _parse_line(lineno, line)
-            for key in record.keys() - set(RECORD_FIELDS):
-                if key not in warned:
-                    warned.add(key)
-                    log.warning("ignoring unknown record field %r", key)
+            if not _KNOWN_FIELDS.issuperset(record):
+                for key in record.keys() - _KNOWN_FIELDS:
+                    if key not in warned:
+                        warned.add(key)
+                        log.warning("ignoring unknown record field %r", key)
             pools.setdefault(record["problem_id"], []).append(
-                _candidate_of(lineno, record, canon)
+                _candidate_of(lineno, record, canon, keys)
             )
     finally:
         if owned:

@@ -1,8 +1,11 @@
 """Domain types, canonicalization, and clustering."""
 
+import enum
 import io
 import json
 import re
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -56,6 +59,38 @@ class TestCanonicalize:
         assert canonicalize_answer("x+1", "numeric") == "x+1"
         assert canonicalize_answer("1/0", "numeric") == "1/0"
 
+    @pytest.mark.parametrize("raw", [
+        "1e5000", "1e1000000", "1e10000000", " -2.5E+99999999 ", "7e-10000000",
+        "1.5e1_000_000", "1e" + "9" * 5000,
+    ])
+    def test_numeric_huge_exponent_falls_back_fast(self, raw):
+        """A normal form past the interpreter's digit limit gives the
+        exact-mode key, without first expanding 10**exponent."""
+        start = time.perf_counter()
+        assert canonicalize_answer(raw, "numeric") == raw.strip()
+        assert time.perf_counter() - start < 1.0
+
+    def test_numeric_exponent_up_to_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert canonicalize_answer(f"1e{limit - 1}", "numeric") == "1" + "0" * (limit - 1)
+        assert canonicalize_answer(f"1e{limit}", "numeric") == f"1e{limit}"
+        assert canonicalize_answer(f"1e-{limit - 1}", "numeric") == "1/1" + "0" * (limit - 1)
+        assert canonicalize_answer(f"1e-{limit}", "numeric") == f"1e-{limit}"
+        # a mantissa's digits can scale an exponent past the limit back under it
+        small = "0." + "0" * 99 + "1"
+        assert canonicalize_answer(f"{small}e{limit + 99}", "numeric") == "1" + "0" * (limit - 1)
+        assert canonicalize_answer("0e10000000", "numeric") == "0"
+        assert canonicalize_answer("-0.0e-99999999", "numeric") == "0"
+
+    def test_numeric_follows_the_interpreter_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(6000)
+            assert canonicalize_answer("1e5000", "numeric") == "1" + "0" * 5000
+            assert canonicalize_answer("1e6000", "numeric") == "1e6000"
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             canonicalize_answer("1", "latex")
@@ -89,6 +124,15 @@ class TestTokenStats:
         with pytest.raises(ValueError):
             TokenStats(reasoning_budget=-5)
 
+    @pytest.mark.parametrize("value", [
+        True, False, 1.0, np.int64(1), enum.IntEnum("Size", "ONE")(1), None, "1",
+    ], ids=["true", "false", "float", "numpy-int", "int-enum", "none", "text"])
+    def test_counts_are_ints_by_exact_type(self, value):
+        with pytest.raises(ValueError, match=re.escape(
+            f"invalid token count: prompt_tokens={value!r}"
+        )):
+            TokenStats(prompt_tokens=value)
+
 
 class TestCandidate:
     def test_answer_key_required_with_raw(self):
@@ -120,11 +164,15 @@ class TestCandidate:
         ({"answer_raw": None}, "answer must be a string, got None"),
         ({"answer_raw": "<none>", "answer_key": "<none>"}, "'<none>' is reserved"),
         ({"answer_key": "<none>"}, "'<none>' is reserved"),
+        ({"answer_raw": "7", "answer_key": 7},
+         "candidate 'c': answer_key must be a string, got 7"),
+        ({"answer_key": None}, "candidate 'c': answer_key must be a string, got None"),
         ({"correct": True}, "candidate 'c': no answer, but labeled correct"),
     ], ids=[
         "label-int", "label-numpy-bool", "disc-nan", "disc-minus-inf", "disc-bool",
         "disc-huge-int", "disc-text", "gen-inf", "gen-bool", "gen-not-a-list",
-        "answer-int", "answer-none", "answer-reserved", "key-reserved",
+        "answer-int", "answer-none", "answer-reserved", "key-reserved", "key-int",
+        "key-none",
         "correct-without-answer",
     ])
     def test_rules_hold_for_candidates_built_in_code(self, fields, message):

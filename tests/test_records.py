@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from verisel import (
     BootstrapReport,
@@ -16,6 +17,7 @@ from verisel import (
     Problem,
     SynthSpec,
     TokenStats,
+    canonicalize_answer,
     emit_report,
     flops_generation,
     generate_pool,
@@ -23,6 +25,7 @@ from verisel import (
     ingest_stats,
 )
 from verisel.costs import ModelConfig
+from verisel import records
 from verisel.records import records_text, write_records
 
 from pools import random_problem
@@ -238,6 +241,114 @@ class TestIngestErrors:
         ingest_text(text, canon="exact")
         with pytest.raises(IngestError, match="graded both"):
             ingest_text(text, canon="numeric")
+
+
+TOKEN_FIELDS = (
+    "prompt_tokens", "output_tokens", "solution_tokens", "reasoning_budget",
+    "verification_out_tokens",
+)
+
+
+def reference_ingest(text, canon):
+    """ingest's result, or its error message, for well-formed records:
+    every Candidate built record by record, with a fresh
+    canonicalize_answer call and a fresh TokenStats."""
+    pools = {}
+    for lineno, text_line in enumerate(text.splitlines(), 1):
+        record = json.loads(text_line)
+        raw = record.get("answer")
+        raw = "" if raw is None else raw
+        try:
+            candidate = Candidate(
+                candidate_id=record["candidate_id"],
+                answer_raw=raw,
+                answer_key=canonicalize_answer(raw, canon) if isinstance(raw, str) else "",
+                correct=record.get("correct"),
+                disc_score=record.get("disc_score"),
+                gen_scores=record.get("gen_scores"),
+                token_stats=TokenStats(
+                    **{name: record[name] for name in TOKEN_FIELDS if name in record}),
+            )
+        except (TypeError, ValueError) as exc:
+            return f"line {lineno}: {exc}"
+        pools.setdefault(record["problem_id"], []).append(candidate)
+    try:
+        return [Problem(problem_id=pid, candidates=tuple(c)) for pid, c in pools.items()]
+    except IngestError as exc:
+        return str(exc)
+
+
+# Answers repeat, differ only in whitespace, or spell one number several
+# ways; a few are not text at all (a list is not even hashable).
+ANSWERS = (
+    "7", " 7", "7 ", "7.0", "14/2", "x  y", "x y", " x\ty ", "1/2", "0.5", "",
+    "   ", "1e5000", "<none>", None, 7, ["7"],
+)
+# Valid counts come up three times as often as each invalid one.
+TOKEN_VALUES = (0, 1, 2**70) * 3 + (None, True, 1.0, -1)
+RECORDS = st.lists(
+    st.fixed_dictionaries(
+        {"problem_id": st.sampled_from(("p", "q"))},
+        optional={
+            "answer": st.sampled_from(ANSWERS),
+            "latency_ms": st.just(5),
+            **{name: st.sampled_from(TOKEN_VALUES) for name in TOKEN_FIELDS[:3]},
+        },
+    ),
+    min_size=1, max_size=8,
+)
+
+
+class TestAnswerKeyCache:
+    """ingest canonicalizes each distinct answer text once per call, and
+    still checks every record and builds its own TokenStats."""
+
+    def test_each_distinct_answer_is_canonicalized_once(self, monkeypatch):
+        calls = []
+
+        def counting(raw, mode="exact"):
+            calls.append(raw)
+            return canonicalize_answer(raw, mode)
+
+        monkeypatch.setattr(records, "canonicalize_answer", counting)
+        answers = ["3", " 3 ", "3.0", "3", "6/2", " 3 ", "3.0", "x", "3"]
+        text = "\n".join(
+            line(candidate_id=f"c{i}", answer=a) for i, a in enumerate(answers))
+        (problem,) = ingest_text(text, canon="numeric")
+        assert sorted(calls) == sorted(set(answers))
+        assert [c.answer_key for c in problem.candidates] == ["3"] * 7 + ["x", "3"]
+        assert [c.answer_raw for c in problem.candidates] == answers
+        ingest_text(text, canon="exact")  # a new call, a new cache
+        assert len(calls) == 2 * len(set(answers))
+
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_token_count_equal_to_an_earlier_one_fails_on_its_line(self, value):
+        with pytest.raises(IngestError, match=re.escape(
+            f"line 2: invalid token count: prompt_tokens={value!r}"
+        )):
+            ingest_text(line(candidate_id="c1", prompt_tokens=1) + "\n"
+                        + line(candidate_id="c2", prompt_tokens=value))
+
+    def test_absent_and_null_token_counts_differ(self):
+        (problem,) = ingest_text(line(candidate_id="c1", answer="7"))
+        assert problem.candidates[0].token_stats.prompt_tokens == 0
+        with pytest.raises(IngestError, match=re.escape(
+            "line 2: invalid token count: prompt_tokens=None"
+        )):
+            ingest_text(line(candidate_id="c1", answer="7") + "\n"
+                        + line(candidate_id="c2", answer="7", prompt_tokens=None))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(RECORDS, st.sampled_from(("exact", "numeric")))
+    def test_same_as_record_by_record(self, drawn, canon):
+        text = "\n".join(
+            json.dumps(dict(record, candidate_id=f"c{i}"))
+            for i, record in enumerate(drawn))
+        try:
+            got = ingest_text(text, canon=canon)
+        except IngestError as exc:
+            got = str(exc)
+        assert repr(got) == repr(reference_ingest(text, canon))
 
 
 class TestRoundTrip:

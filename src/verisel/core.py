@@ -11,7 +11,10 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 # Cluster key assigned to candidates whose answer extraction failed
 # (empty answer_raw / answer_key). Such clusters are never selectable.
@@ -101,7 +104,8 @@ class Candidate:
     a bool; each score is a finite int or float (stored as a float), never
     a bool; gen_scores is non-empty; non-blank answer_raw has an
     answer_key, and no answer_key is NO_ANSWER_KEY; labeled correct needs
-    an answer.
+    an answer. cluster_key, set here and not a field, is the key clustering
+    uses: answer_key, or NO_ANSWER_KEY for a failed extraction.
     """
 
     candidate_id: str
@@ -141,11 +145,17 @@ class Candidate:
             raise ValueError(f"candidate {cid!r}: answer {NO_ANSWER_KEY!r} is reserved")
         if self.correct and not key:
             raise ValueError(f"candidate {cid!r}: no answer, but labeled correct")
+        object.__setattr__(self, "cluster_key", key or NO_ANSWER_KEY)
 
-    @property
-    def cluster_key(self) -> str:
-        """Answer key used for clustering; failed extractions share NO_ANSWER_KEY."""
-        return self.answer_key if self.answer_key else NO_ANSWER_KEY
+
+class AnswerColumns(NamedTuple):
+    """A pool's answers as columns: each candidate's answer code, codes
+    numbering cluster keys in ascending order; the code of NO_ANSWER_KEY,
+    or -1; the label of each code, or None for an unlabeled pool."""
+
+    codes: np.ndarray
+    none_code: int
+    correct: Optional[np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -204,20 +214,31 @@ class Problem:
     def labeled(self) -> bool:
         return bool(self.candidates) and self.candidates[0].correct is not None
 
+    @cached_property
+    def answer_columns(self) -> AnswerColumns:
+        """Built on first use, then kept; not a field, so repr and == ignore it."""
+        graded = {c.cluster_key: c.correct for c in self.candidates}  # one per key
+        keys = sorted(graded)
+        code_of = {key: i for i, key in enumerate(keys)}
+        return AnswerColumns(
+            np.array([code_of[c.cluster_key] for c in self.candidates], np.int32),
+            code_of.get(NO_ANSWER_KEY, -1),
+            np.array([graded[key] for key in keys], bool) if self.labeled else None,
+        )
+
 
 @dataclass(frozen=True)
 class AnswerCluster:
-    """Candidates sharing one canonical answer, with score aggregates.
+    """Candidates sharing one canonical answer, with their score sum.
 
-    sum_score and mean_score aggregate the raw disc_score of the members and
-    are None when the pool carries no discriminative scores.
+    sum_score sums the raw disc_score of the members and is None when the
+    pool carries no discriminative scores.
     """
 
     answer_key: str
     member_ids: tuple[str, ...]
     n_a: int
     sum_score: Optional[float] = None
-    mean_score: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.n_a < 1 or self.n_a != len(self.member_ids):
@@ -297,7 +318,7 @@ def cluster_by_answer(problem: Problem) -> list[AnswerCluster]:
 
     Clusters are returned in a deterministic order (n_a descending,
     answer_key ascending); selection reports its diagnostics in this order.
-    Score aggregates are filled from disc_score when every member has one.
+    sum_score is filled from disc_score when every member has one.
     """
     if not problem.candidates:
         raise EmptyPoolError(f"problem {problem.problem_id!r}: empty pool")
@@ -320,7 +341,6 @@ def _clusters_of(candidates: Sequence[Candidate]) -> list[AnswerCluster]:
                 member_ids=tuple(c.candidate_id for c in cands),
                 n_a=len(cands),
                 sum_score=total,
-                mean_score=None if total is None else total / len(cands),
             )
         )
     clusters.sort(key=lambda cl: (-cl.n_a, cl.answer_key))

@@ -16,6 +16,7 @@ an interpolation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from operator import mul
 from pathlib import Path
@@ -125,6 +126,26 @@ class FlopsBreakdown:
 ZERO_FLOPS = FlopsBreakdown(0, 0, 0, 0, 0)
 
 
+def _flops(
+    cfg: ModelConfig, s_in: int, s_in2: int, s_out: int, s_in_out: int,
+    s_out2: int, head_vocab: int,
+) -> FlopsBreakdown:
+    """The FLOPs formula, over token moments summed across a batch: t_in,
+    t_in^2, t_out, t_in*t_out and t_out^2. Each candidate's t(t+1)/2 and
+    t(t-1)/2 is an integer, so halving the summed moments is exact."""
+    projections = (8 * cfg.d**2 + 4 * cfg.d * cfg.m) * cfg.L * (s_in + s_out)
+    prefill = 4 * cfg.d * cfg.L * ((s_in2 + s_in) // 2)
+    decode = 4 * cfg.d * cfg.L * (s_in_out + (s_out2 - s_out) // 2)
+    lm_head = 2 * cfg.d * head_vocab * s_out
+    return FlopsBreakdown(
+        projections=projections,
+        attention_prefill=prefill,
+        attention_decode=decode,
+        lm_head=lm_head,
+        total=projections + prefill + decode + lm_head,
+    )
+
+
 def flops_prefill(cfg: ModelConfig, t_in: int) -> FlopsBreakdown:
     """Cost of ingesting a t_in-token prompt.
 
@@ -132,15 +153,7 @@ def flops_prefill(cfg: ModelConfig, t_in: int) -> FlopsBreakdown:
     attending to positions 1..k. No LM head: prefill emits no tokens.
     """
     _check_token_count("t_in", t_in)
-    projections = (8 * cfg.d**2 + 4 * cfg.d * cfg.m) * t_in * cfg.L
-    attention = 4 * cfg.d * (t_in * (t_in + 1) // 2) * cfg.L
-    return FlopsBreakdown(
-        projections=projections,
-        attention_prefill=attention,
-        attention_decode=0,
-        lm_head=0,
-        total=projections + attention,
-    )
+    return _flops(cfg, t_in, t_in * t_in, 0, 0, 0, cfg.V)
 
 
 def flops_decode(
@@ -158,16 +171,7 @@ def flops_decode(
         head_vocab = cfg.V
     if head_vocab < 1:
         raise ValueError(f"invalid head width: {head_vocab}")
-    projections = (8 * cfg.d**2 + 4 * cfg.d * cfg.m) * t_out * cfg.L
-    attention = 4 * cfg.d * (t_in * t_out + t_out * (t_out - 1) // 2) * cfg.L
-    lm_head = 2 * cfg.d * head_vocab * t_out
-    return FlopsBreakdown(
-        projections=projections,
-        attention_prefill=0,
-        attention_decode=attention,
-        lm_head=lm_head,
-        total=projections + attention + lm_head,
-    )
+    return _flops(cfg, 0, 0, t_out, t_in * t_out, t_out * t_out, head_vocab)
 
 
 def flops_generation(cfg: ModelConfig, t_in: int, t_out: int) -> FlopsBreakdown:
@@ -191,27 +195,11 @@ def _batch_generation(
     head_vocab: Optional[int] = None,
 ) -> FlopsBreakdown:
     """flops_prefill plus flops_decode summed over paired (t_in, t_out)
-    counts, in closed form over the batch's token moments: sums of t_in,
-    t_out, t_in^2, t_in*t_out and t_out^2.
-
-    Each candidate's t(t+1)/2 and t(t-1)/2 is an integer, so halving the
-    summed moments is exact.
-    """
-    s_in, s_out = sum(t_in), sum(t_out)
-    s_in2 = sum(map(mul, t_in, t_in))
-    s_in_out = sum(map(mul, t_in, t_out))
-    s_out2 = sum(map(mul, t_out, t_out))
-    width = cfg.V if head_vocab is None else head_vocab
-    projections = (8 * cfg.d**2 + 4 * cfg.d * cfg.m) * cfg.L * (s_in + s_out)
-    prefill = 4 * cfg.d * cfg.L * ((s_in2 + s_in) // 2)
-    decode = 4 * cfg.d * cfg.L * (s_in_out + (s_out2 - s_out) // 2)
-    lm_head = 2 * cfg.d * width * s_out
-    return FlopsBreakdown(
-        projections=projections,
-        attention_prefill=prefill,
-        attention_decode=decode,
-        lm_head=lm_head,
-        total=projections + prefill + decode + lm_head,
+    counts, in closed form."""
+    return _flops(
+        cfg, sum(t_in), sum(map(mul, t_in, t_in)), sum(t_out),
+        sum(map(mul, t_in, t_out)), sum(map(mul, t_out, t_out)),
+        cfg.V if head_vocab is None else head_vocab,
     )
 
 
@@ -296,7 +284,8 @@ class LatencyTable:
     """Measured wall-clock seconds keyed by (role, N, M).
 
     Roles: generation and disc_verify are batch sweeps over N (M fixed at
-    0); gen_verify is keyed by both N and M. Lookups never interpolate.
+    0); gen_verify is keyed by both N and M. Seconds are finite and
+    non-negative. Lookups never interpolate.
     """
 
     entries: Mapping[tuple[str, int, int], float]
@@ -305,7 +294,7 @@ class LatencyTable:
         for (role, n, m), seconds in self.entries.items():
             if role not in (GENERATION, DISC_VERIFY, GEN_VERIFY):
                 raise ValueError(f"unknown latency role: {role!r}")
-            if n < 1 or m < 0 or seconds < 0:
+            if n < 1 or m < 0 or not 0 <= seconds < math.inf:
                 raise ValueError(f"invalid latency entry: {(role, n, m, seconds)}")
 
     def lookup(self, role: str, n: int, m: int = 0) -> float:

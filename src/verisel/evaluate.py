@@ -38,7 +38,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import NO_ANSWER_KEY, EmptyPoolError, Problem
+from .core import EmptyPoolError, Problem
 from .costs import LatencyTable, ModelConfig, latency_lookup, pipeline_flops
 from .selection import (
     DEFAULT_GPV_ALPHA,
@@ -86,6 +86,12 @@ class EvalConfig:
         if self.ci_method not in ("normal", "percentile"):
             raise ValueError(f"unknown ci method: {self.ci_method!r}")
         _transform_fn(self.transform)  # raises as select_answer does
+        for name in ("n", "draws", "seed"):  # exactly int: not a bool or float
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
+        # NaN or +inf; a negative alpha fails where it is used, in _objective
+        if self.alpha is not None and not self.alpha < math.inf:
+            raise ValueError(f"invalid alpha: {self.alpha}")
 
     @property
     def effective_alpha(self) -> float:
@@ -289,76 +295,56 @@ def _draw_slates(
     return slates.T, redo
 
 
-class _PoolArrays:
-    """One problem's candidates as arrays: answer codes, the label of each
-    code, and BoN ranks or per-candidate scores.
-
-    What a rule decides comes from selection.py: the per-candidate scores,
-    the objective, the cluster tie order and BoN's candidate order. Answer
-    codes are assigned in ascending answer_key order, so a code stands for
-    its key in the tie order.
-    """
-
-    def __init__(self, problem: Problem, cfg: EvalConfig):
-        cands = problem.candidates
-        self.k = len(cands)
-        if self.k == 0:
-            raise EmptyPoolError(f"problem {problem.problem_id!r}: empty pool")
-
-        if not problem.labeled:
-            raise ValueError("labels required")
-        graded = {c.cluster_key: float(c.correct) for c in cands}  # one per key
-        keys = sorted(graded)
-        code_of = {key: i for i, key in enumerate(keys)}
-        self.codes = np.array([code_of[c.cluster_key] for c in cands], np.int32)
-        self.none_code = code_of.get(NO_ANSWER_KEY, -1)
-        self.correct = [graded[key] for key in keys]
-
-        self.rank = self.weights = None
-        if cfg.method == "bon":
-            ranked = _bon_ranking(cands, candidate_scores(cands, "raw"))
-            place = {c.candidate_id: i for i, c in enumerate(ranked)}
-            # unranked (no-answer) candidates take rank k and never win
-            self.rank = np.array(
-                [place.get(c.candidate_id, self.k) for c in cands], np.int32
-            )
-        elif cfg.method == "gpv":
-            gen = candidate_gen_scores(cands, cfg.transform)
-            m = _resolve_m(gen, cfg.m_verifications)
-            self.weights = np.array(list(_gen_means(gen, m).values()))
-        elif cfg.method != "sc":
-            self.weights = np.array(
-                list(candidate_scores(cands, cfg.transform).values())
-            )
+def _candidate_values(problem: Problem, cfg: EvalConfig) -> Optional[np.ndarray]:
+    """What cfg.method reads of each candidate, in pool order: BoN ranks
+    (no-answer candidates take rank k and never win), transformed scores,
+    or gpv means; None for sc. Raises as select_answer does."""
+    cands = problem.candidates
+    if cfg.method == "sc":
+        return None
+    if cfg.method == "bon":
+        ranked = _bon_ranking(cands, candidate_scores(cands, "raw"))
+        place = {c.candidate_id: i for i, c in enumerate(ranked)}
+        return np.array([place.get(c.candidate_id, len(cands)) for c in cands],
+                        np.int32)
+    if cfg.method == "gpv":
+        gen = candidate_gen_scores(cands, cfg.transform)
+        scores = _gen_means(gen, _resolve_m(gen, cfg.m_verifications))
+    else:
+        scores = candidate_scores(cands, cfg.transform)
+    return np.array(list(scores.values()))
 
 
 class _PoolStack:
     """Pools of one size k, stacked, for scoring slates of any of them in
-    one batch; cfg gives gpv's M.
+    one batch: each problem's answer_columns, and its _candidate_values
+    under cfg.
 
     A slate only counts and sums its clusters; the objective and the tie
     order are selection.py's.
     """
 
-    def __init__(self, pools: Sequence[_PoolArrays], cfg: EvalConfig):
-        self.k, self.n = pools[0].k, cfg.n
-        width = max(len(p.correct) for p in pools)
-        self.correct = np.zeros((len(pools), width))
-        for row, pool in zip(self.correct, pools):
-            row[: len(pool.correct)] = pool.correct
-        self.codes = np.stack([p.codes for p in pools])
+    def __init__(self, problems: Sequence[Problem],
+                 values: Sequence[Optional[np.ndarray]], cfg: EvalConfig):
+        columns = [p.answer_columns for p in problems]
+        self.k, self.n = len(problems[0]), cfg.n
+        width = max(len(c.correct) for c in columns)
+        self.correct = np.zeros((len(columns), width))
+        for row, c in zip(self.correct, columns):
+            row[: len(c.correct)] = c.correct
+        self.codes = np.stack([c.codes for c in columns])
         self.selectable = np.arange(width) != np.array(
-            [p.none_code for p in pools])[:, None]
+            [c.none_code for c in columns])[:, None]
         self.rank = self.by_rank = self.weights = None
         if cfg.method == "bon":
-            self.rank = np.stack([p.rank for p in pools])
+            self.rank = np.stack(values)
             # the label of the candidate at each rank; rank k never wins
-            self.by_rank = np.zeros((len(pools), self.k + 1), bool)
-            for row, pool in zip(self.by_rank, pools):
-                row[pool.rank] = np.array(pool.correct, bool)[pool.codes]
+            self.by_rank = np.zeros((len(columns), self.k + 1), bool)
+            for row, rank, c in zip(self.by_rank, self.rank, columns):
+                row[rank] = c.correct[c.codes]
             self.by_rank[:, self.k] = False
-        elif pools[0].weights is not None:
-            self.weights = np.stack([p.weights for p in pools])
+        elif cfg.method != "sc":
+            self.weights = np.stack(values)
         m = cfg.m_verifications if cfg.method == "gpv" else 1
         self.objective = _objective(cfg.method, cfg.n, cfg.effective_alpha, m)
         # rows per chunk: _CHUNK slate elements or bincount cells, and
@@ -460,18 +446,22 @@ def _eval_problems(
     """
     problems, cfg, exhaustive = args
     cfg = _with_m(problems, cfg)
-    pools = []
-    for problem in problems:
-        pools.append(_PoolArrays(problem, cfg))
-        if not cfg.replacement and cfg.n > pools[-1].k:
-            raise ValueError(f"slate too large: n={cfg.n} > pool "
-                             f"{pools[-1].k} for {problem.problem_id!r}")
+    values = []
     groups: dict[int, list[int]] = {}
-    for i, pool in enumerate(pools):
-        groups.setdefault(pool.k, []).append(i)
-    stacks = [(members, _PoolStack([pools[i] for i in members], cfg))
+    for i, problem in enumerate(problems):
+        if not problem.candidates:
+            raise EmptyPoolError(f"problem {problem.problem_id!r}: empty pool")
+        if not problem.labeled:
+            raise ValueError("labels required")
+        values.append(_candidate_values(problem, cfg))
+        if not cfg.replacement and cfg.n > len(problem):
+            raise ValueError(f"slate too large: n={cfg.n} > pool "
+                             f"{len(problem)} for {problem.problem_id!r}")
+        groups.setdefault(len(problem), []).append(i)
+    stacks = [(members, _PoolStack([problems[i] for i in members],
+                                   [values[i] for i in members], cfg))
               for members in groups.values()]
-    del pools  # the stacks hold all that scoring reads
+    del values  # the stacks hold all that scoring reads
 
     out: list[np.ndarray] = [np.empty(0)] * len(problems)
     for members, stack in stacks:
@@ -482,12 +472,6 @@ def _eval_problems(
         for i, row in zip(members, rows):
             out[i] = row
     return out
-
-
-def _eval_problem(args: tuple[Problem, EvalConfig, bool]) -> np.ndarray:
-    """Per-draw 0/1 accuracy vector for one problem."""
-    problem, cfg, exhaustive = args
-    return _eval_problems(([problem], cfg, exhaustive))[0]
 
 
 def bootstrap_accuracy(

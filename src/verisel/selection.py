@@ -139,7 +139,7 @@ def _objective(method: str, n_total: int = 1, alpha: float = 0.0, m: int = 1):
         return lambda total, n_a: (None, n_a * 1.0)
     if method == "wsc":
         return lambda total, n_a: (None, total)
-    if alpha < 0:
+    if not 0 <= alpha < math.inf:
         raise ValueError("invalid alpha")
     if n_total < 1:
         raise ValueError(f"invalid pool size: {n_total}")
@@ -168,8 +168,13 @@ def _resolve_m(gen_scores: Mapping[str, Sequence[float]],
 def _gen_means(
     gen_scores: Mapping[str, Sequence[float]], m: int
 ) -> dict[str, float]:
-    """Each candidate's gpv score r~_i: the mean of its first m pass scores."""
-    return {cid: _sum_in_order(s[:m]) / m for cid, s in gen_scores.items()}
+    """Each candidate's gpv score r~_i: the mean of its first m pass scores.
+    A mean that overflows, the one way a cluster total could be NaN, fails."""
+    means = {cid: _sum_in_order(s[:m]) / m for cid, s in gen_scores.items()}
+    for cid, mean in means.items():
+        if not math.isfinite(mean):
+            raise ValueError(f"candidate {cid!r}: gen_scores mean overflows to {mean}")
+    return means
 
 
 def _bon_ranking(

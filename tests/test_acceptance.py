@@ -39,7 +39,7 @@ from verisel import (
 )
 from verisel.core import cluster_by_answer
 from verisel.costs import ModelConfig
-from verisel.evaluate import _eval_problem
+from verisel.evaluate import _eval_problems
 from verisel.selection import (
     candidate_gen_scores,
     candidate_scores,
@@ -339,7 +339,7 @@ def test_criterion_08_enumerated_evaluation_is_exact():
         for method in methods:
             for n in (1, 2, 3):
                 cfg = EvalConfig(n=n, method=method)
-                rows = _eval_problem((problem, cfg, True))
+                rows = _eval_problems(([problem], cfg, True))[0]
                 for row, idx in zip(
                     rows, itertools.combinations(range(k), n)
                 ):

@@ -84,6 +84,17 @@ class TestEvaluate:
         ])
         assert code == 2 and "error: slate too large" in err
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_fails(self, capsys, tmp_path, alpha):
+        # --alpha nan once printed mean 0 and exited 0
+        data = simulate(capsys, tmp_path / "pools.jsonl")
+        code, out, err = run(capsys, [
+            "evaluate", "-i", data, "--method", "pv", "-n", "4",
+            "--draws", "20", "--alpha", alpha,
+        ])
+        assert code == 2 and out == ""
+        assert f"error: invalid alpha: {alpha}" in err
+
     def test_m_beyond_data_fails(self, capsys, tmp_path):
         data = simulate(capsys, tmp_path / "pools.jsonl", gen_verifications=2)
         code, _, err = run(capsys, [
@@ -153,6 +164,18 @@ class TestCurve:
             "--budget", "latency", "--draws", "5",
         ])
         assert code == 2 and "error: no measurement" in err
+
+    def test_nan_latency_fails(self, capsys, tmp_path):
+        # a NaN entry once printed a point with budget nan
+        data = simulate(capsys, tmp_path / "pools.jsonl")
+        table = tmp_path / "latency.json"
+        table.write_text('{"generation": {"1": NaN, "2": 2.0}}')
+        code, out, err = run(capsys, [
+            "curve", "-i", data, "--methods", "sc", "--n-grid", "1,2",
+            "--budget", "latency", "--latency-table", str(table),
+        ])
+        assert code == 2 and out == ""
+        assert "error: invalid latency entry: ('generation', 1, 0, nan)" in err
 
     def test_failed_point_reports_alike_at_any_jobs(self, capsys, tmp_path):
         data = simulate(capsys, tmp_path / "pools.jsonl")
@@ -341,6 +364,14 @@ class TestSelect:
         assert by_key["a"]["objective"] == pytest.approx(1.81690, abs=1e-5)
         assert by_key["b"]["objective"] == pytest.approx(2.22535, abs=1e-5)
         assert doc["chosen_answer"] == "b"
+
+    def test_nan_alpha_fails(self, capsys, monkeypatch):
+        # select --alpha nan once printed "alpha": NaN, which is not JSON
+        code, out, err = run(
+            capsys, ["select", "--method", "pv", "--alpha", "nan"],
+            stdin=self.POOL, monkeypatch=monkeypatch,
+        )
+        assert code == 2 and out == "" and "error: invalid alpha" in err
 
     def test_transform_changes_objective(self, capsys, monkeypatch):
         code, out, _ = run(capsys, ["select", "--method", "pv"],

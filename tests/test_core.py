@@ -1,8 +1,10 @@
 """Domain types, canonicalization, and clustering."""
 
+import dataclasses
 import enum
 import io
 import json
+import pickle
 import re
 import sys
 import time
@@ -143,6 +145,16 @@ class TestCandidate:
         c = Candidate(candidate_id="c")
         assert c.cluster_key == "<none>"
 
+    def test_cluster_key_is_set_once_and_not_a_field(self):
+        c = Candidate(candidate_id="c", answer_raw=" 7", answer_key="7")
+        assert vars(c)["cluster_key"] == "7"  # an attribute, not a property
+        assert "cluster_key" not in {f.name for f in dataclasses.fields(c)}
+        assert "cluster_key" not in repr(c)
+        assert dataclasses.replace(c, answer_key="8").cluster_key == "8"
+        assert pickle.loads(pickle.dumps(c)).cluster_key == "7"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.cluster_key = "8"
+
     def test_gen_scores_must_be_nonempty(self):
         with pytest.raises(ValueError, match="non-empty"):
             Candidate(candidate_id="c", gen_scores=())
@@ -240,6 +252,32 @@ class TestProblem:
         p = make_problem(["a", "b"])
         assert len(p) == 2 and not p.labeled
 
+    def labeled(self, answers, correct):
+        return Problem(problem_id="q", candidates=tuple(
+            Candidate(candidate_id=f"c{i}", answer_raw=a, answer_key=a,
+                      correct=a == correct)
+            for i, a in enumerate(answers)
+        ))
+
+    def test_answer_columns(self):
+        codes, none_code, correct = self.labeled(["b", "", "a", "b"], "a").answer_columns
+        # codes number the keys in ascending order: "<none>", "a", "b"
+        assert codes.dtype == np.int32 and codes.tolist() == [2, 0, 1, 2]
+        assert none_code == 0
+        assert correct.tolist() == [False, True, False]
+        codes, none_code, correct = make_problem(["b", "a"]).answer_columns
+        assert codes.tolist() == [1, 0] and none_code == -1 and correct is None
+
+    def test_answer_columns_built_once_and_unseen(self):
+        problem, twin = (self.labeled(["b", "a"], "a") for _ in range(2))
+        columns = problem.answer_columns
+        assert problem.answer_columns is columns
+        assert problem == twin and repr(problem) == repr(twin)
+        assert hash(problem) == hash(twin)
+        copy = pickle.loads(pickle.dumps(problem))
+        assert copy == problem
+        assert copy.answer_columns.codes.tolist() == columns.codes.tolist()
+
     @pytest.mark.parametrize("records, message", [
         (
             [{"answer": "a", "disc_score": 0.5}, {"answer": "a"}],
@@ -296,7 +334,7 @@ class TestClusterByAnswer:
 
     def test_singleton_aggregates(self):
         (cluster,) = cluster_by_answer(make_problem(["A"], [0.7]))
-        assert cluster.sum_score == cluster.mean_score == 0.7
+        assert cluster.sum_score == 0.7
         assert cluster.member_ids == ("c0",)
 
     def test_empty_pool(self):
@@ -305,7 +343,7 @@ class TestClusterByAnswer:
 
     def test_aggregates_none_without_full_scores(self):
         clusters = cluster_by_answer(make_problem(["A", "A"]))
-        assert clusters[0].sum_score is None and clusters[0].mean_score is None
+        assert clusters[0].sum_score is None
         # a pool scored on some candidates only never reaches clustering
         with pytest.raises(IngestError, match="must be all or none"):
             make_problem(["A", "A"], [0.5, None])
@@ -321,8 +359,6 @@ class TestClusterByAnswer:
                 c.candidate_id for c in problem.candidates
             )
             assert sum(cl.n_a for cl in clusters) == len(problem)
-            for cl in clusters:
-                assert cl.mean_score == pytest.approx(cl.sum_score / cl.n_a)
 
     def test_order_is_total_and_input_independent(self):
         """Shuffling candidates never changes the (key, n_a) sequence."""

@@ -382,6 +382,15 @@ class TestLatency:
         with pytest.raises(ValueError, match="invalid latency entry"):
             LatencyTable(entries={("generation", 1, 0): -1.0})
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_seconds_rejected(self, literal):
+        # a NaN entry once priced a curve point at nan seconds
+        with pytest.raises(ValueError, match="invalid latency entry"):
+            LatencyTable(entries={("generation", 1, 0): float(literal.lower())})
+        for doc in ('{"generation": {"1": %s}}', '{"gen_verify": {"2": {"1": %s}}}'):
+            with pytest.raises(ValueError, match="invalid latency entry"):
+                LatencyTable.from_json(doc % literal)
+
     def test_mode_composition(self):
         t = self.table()
         assert latency_lookup(t, "sc", 2) == 11.0

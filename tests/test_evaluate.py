@@ -2,8 +2,10 @@
 
 import builtins
 import dataclasses
+import functools
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -36,7 +38,7 @@ import verisel.core as core_module
 import verisel.evaluate as evaluate_module
 import verisel.selection as selection_module
 from verisel.costs import MODEL_PRESETS
-from verisel.evaluate import _eval_problem
+from verisel.evaluate import _eval_problems
 
 from oracles import enumeration_pass_at_n
 from pools import random_problem
@@ -125,6 +127,23 @@ class TestEvalConfig:
                 )
             assert str(from_config.value) == str(from_select.value)
 
+    @pytest.mark.parametrize("name, value", [
+        ("n", 2.0), ("n", True), ("draws", 1.5), ("draws", np.int64(5)),
+        ("seed", 1.0),
+    ])
+    def test_counts_are_ints(self, name, value):
+        # these once reached numpy and failed there with a raw TypeError
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be an int, got {value!r}")):
+            EvalConfig(**{"n": 1, name: value})
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_alpha(self, alpha):
+        # a NaN alpha once made every pv objective NaN: mean 0, no error
+        for method in METHODS:
+            with pytest.raises(ValueError, match=f"invalid alpha: {alpha}"):
+                EvalConfig(n=1, method=method, alpha=alpha)
+
     def test_alpha_defaults(self):
         assert EvalConfig(n=1, method="pv").effective_alpha == 0.5
         assert EvalConfig(n=1, method="gpv").effective_alpha == 0.1
@@ -164,7 +183,7 @@ class TestSlateEquivalence:
                     seed=int(rng.integers(1_000_000)),
                     transform="raw" if trial % 2 else "sigmoid",
                 )
-                rows = _eval_problem((problem, cfg, False))
+                rows = _eval_problems(([problem], cfg, False))[0]
                 for t in range(cfg.draws):
                     idx = slate_rng(cfg.seed, problem.problem_id, t).choice(
                         k, size=cfg.n, replace=False
@@ -180,7 +199,7 @@ class TestSlateEquivalence:
                 rng, min_size=6, max_size=6, labeled=True, pid=f"ex-{method}"
             )
             cfg = EvalConfig(n=3, method=method)
-            rows = _eval_problem((problem, cfg, True))
+            rows = _eval_problems(([problem], cfg, True))[0]
             slates = list(itertools.combinations(range(6), 3))
             assert len(rows) == len(slates) == 20
             for row, idx in zip(rows, slates):
@@ -201,7 +220,7 @@ class TestSlateEquivalence:
             cfg = EvalConfig(n=2, method="gpv", transform="raw")
             assert select_answer(problem, "gpv", transform="raw") \
                 .chosen_answer == "A"
-            rows = _eval_problem((problem, cfg, True))
+            rows = _eval_problems(([problem], cfg, True))[0]
             assert rows.tolist() == [float(a_correct)]
             assert rows[0] == select_on_slate(problem, np.arange(2), cfg)
 
@@ -241,7 +260,7 @@ class TestInOrderSums:
         )
         for method in ("wsc", "pv"):
             cfg = EvalConfig(n=4, method=method, transform="raw")
-            (slate,) = _eval_problem((problem, cfg, True))
+            (slate,) = _eval_problems(([problem], cfg, True))[0]
             assert slate == 1.0  # the whole-pool slate picks a
             assert select_answer(problem, method, transform="raw").chosen_answer == "a"
         sums = {cl.answer_key: cl.sum_score for cl in cluster_by_answer(problem)}
@@ -728,6 +747,27 @@ class TestBudgetCurve:
         # sc; disc for bon, wsc and pv; gen at each M
         assert sorted(set(calls)) == [("disc", 0), ("gen", 1), ("gen", 2), ("sc", 0)]
         assert len(calls) == len(problems) * 4
+
+    def test_columns_built_once_per_problem(self, monkeypatch):
+        build = Problem.answer_columns.func
+        built = []
+
+        def counted(problem):
+            built.append(problem.problem_id)
+            return build(problem)
+
+        columns = functools.cached_property(counted)
+        columns.__set_name__(Problem, "answer_columns")
+        monkeypatch.setattr(Problem, "answer_columns", columns)
+        rng = np.random.default_rng(54)
+        problems = [curve_problem(f"q{i}", rng, m=4) for i in range(4)]
+        points = budget_curve(
+            problems, METHODS, n_grid=range(1, 7), m_grid=(1, 2, 4),
+            solver_cfg=SOLVER, verifier_cfg=VERIFIER,
+            cfg=EvalConfig(n=1, draws=5), verification_out_tokens=7, jobs=1,
+        )
+        assert len(points) == 42
+        assert built == [p.problem_id for p in problems]
 
     def test_one_pool_per_curve(self, executors):
         problems = self.problems()

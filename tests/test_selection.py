@@ -8,7 +8,9 @@ import pytest
 from verisel import (
     Candidate,
     EmptyPoolError,
+    EvalConfig,
     Problem,
+    bootstrap_accuracy,
     cluster_by_answer,
     select_answer,
     select_bon,
@@ -189,8 +191,12 @@ class TestSelectPV:
             )
 
     def test_invalid_alpha(self):
-        with pytest.raises(ValueError, match="invalid alpha"):
-            select_pv(clusters(["A"], [0.5]), alpha=-0.1)
+        # NaN and +inf once passed the alpha < 0 check
+        for alpha in (-0.1, -math.inf, math.inf, math.nan):
+            with pytest.raises(ValueError, match="invalid alpha"):
+                select_pv(clusters(["A"], [0.5]), alpha=alpha)
+            with pytest.raises(ValueError, match="invalid alpha"):
+                select_gpv(clusters(["A"]), {"c0": (0.5,)}, alpha=alpha)
 
     def test_unanswered_counts_toward_n(self):
         cands = (
@@ -252,6 +258,27 @@ class TestSelectGPV:
             select_gpv(cl, {"c0": (0.1,), "c1": (0.5, 0.6)}, alpha=0.0)
         with pytest.raises(ValueError, match="inconsistent M"):
             select_gpv(cl, {"c0": (0.1,), "c1": (0.5,)}, m_verifications=2)
+
+    def test_overflowing_mean_is_named(self):
+        # x's and y's raw means overflow to +inf and -inf; their cluster's
+        # total would be NaN, which once won with objective NaN
+        problem = Problem(problem_id="q", candidates=(
+            Candidate(candidate_id="x", answer_raw="a", answer_key="a",
+                      correct=False, gen_scores=(1e308, 1e308)),
+            Candidate(candidate_id="y", answer_raw="a", answer_key="a",
+                      correct=False, gen_scores=(-1e308, -1e308)),
+            Candidate(candidate_id="z", answer_raw="b", answer_key="b",
+                      correct=True, gen_scores=(0.5, 0.5)),
+        ))
+        message = "candidate 'x': gen_scores mean overflows to inf"
+        with pytest.raises(ValueError, match=message):
+            select_answer(problem, "gpv", transform="raw")
+        cfg = EvalConfig(n=3, method="gpv", draws=5, transform="raw")
+        with pytest.raises(ValueError, match=message):
+            bootstrap_accuracy([problem], cfg)
+        # one pass each: every mean is finite, and so is every total
+        assert select_answer(problem, "gpv", m_verifications=1,
+                             transform="raw").chosen_answer == "b"
 
 
 class TestResultShape:

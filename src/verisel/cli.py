@@ -87,20 +87,18 @@ def _from_flags(cls, args: argparse.Namespace, **given):
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    problems = _read_problems(args)
-    report = bootstrap_accuracy(problems, _from_flags(EvalConfig, args), jobs=args.jobs)
+    cfg = _from_flags(EvalConfig, args)
+    report = bootstrap_accuracy(_read_problems(args), cfg, jobs=args.jobs)
     _write_out(emit_report(report, args.format), args.output)
     return 0
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    problems = _read_problems(args)
     table = (
         LatencyTable.from_file(args.latency_table)
         if args.latency_table else BUNDLED_LATENCY
     )
-    points = budget_curve(
-        problems,
+    curve = dict(  # configs are built, and checked, before the input is read
         methods=[m.strip() for m in args.methods.split(",") if m.strip()],
         n_grid=_int_list(args.n_grid),
         m_grid=_int_list(args.m_grid),
@@ -112,6 +110,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         verification_out_tokens=args.verify_out,
         jobs=args.jobs,
     )
+    points = budget_curve(_read_problems(args), **curve)
     _write_out(emit_report(points, args.format), args.output)
     return 0
 

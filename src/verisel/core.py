@@ -100,12 +100,13 @@ class Candidate:
     uniform within a problem).
 
     The one statement of a valid candidate; ValueError names the first
-    broken rule: answer_raw and answer_key are strings; correct is None or
-    a bool; each score is a finite int or float (stored as a float), never
-    a bool; gen_scores is non-empty; non-blank answer_raw has an
-    answer_key, and no answer_key is NO_ANSWER_KEY; labeled correct needs
-    an answer. cluster_key, set here and not a field, is the key clustering
-    uses: answer_key, or NO_ANSWER_KEY for a failed extraction.
+    broken rule: candidate_id is a non-empty string; answer_raw and
+    answer_key are strings; correct is None or a bool; each score is a
+    finite int or float (stored as a float), never a bool; gen_scores is
+    non-empty; non-blank answer_raw has an answer_key, and no answer_key is
+    NO_ANSWER_KEY; labeled correct needs an answer. cluster_key, set here
+    and not a field, is the key clustering uses: answer_key, or
+    NO_ANSWER_KEY for a failed extraction.
     """
 
     candidate_id: str
@@ -119,6 +120,8 @@ class Candidate:
     def __post_init__(self) -> None:
         cid, raw, key = self.candidate_id, self.answer_raw, self.answer_key
         disc = self.disc_score
+        if not isinstance(cid, str) or not cid:
+            raise ValueError(f"candidate_id must be a non-empty string, got {cid!r}")
         if not isinstance(raw, str):
             raise ValueError(f"candidate {cid!r}: answer must be a string, got {raw!r}")
         if not isinstance(key, str):
@@ -162,19 +165,26 @@ class AnswerColumns(NamedTuple):
 class Problem:
     """A pool of candidate solutions for one problem.
 
-    Raises IngestError on the first broken invariant, in order: disc_score,
-    then gen_scores, on all candidates or none; one label per answer among
-    labeled candidates; unique candidate_ids; labels on all or none; one
-    gen_scores length M. Nothing downstream checks these again.
+    problem_id is a non-empty string, else ValueError. Then EmptyPoolError
+    for no candidates, or IngestError on the first broken invariant, in
+    order: disc_score, then gen_scores, on all candidates or none; one
+    label per answer among labeled candidates; unique candidate_ids;
+    labels on all or none; one gen_scores length M. Nothing downstream
+    checks these again.
     """
 
     problem_id: str
     candidates: tuple[Candidate, ...]
 
     def __post_init__(self) -> None:
+        pid = self.problem_id
+        if not isinstance(pid, str) or not pid:
+            raise ValueError(f"problem_id must be a non-empty string, got {pid!r}")
         if not isinstance(self.candidates, tuple):
             object.__setattr__(self, "candidates", tuple(self.candidates))
         cands = self.candidates
+        if not cands:
+            raise EmptyPoolError(f"problem {pid!r}: empty pool")
         for name in ("disc_score", "gen_scores"):
             present = sum(getattr(c, name) is not None for c in cands)
             if 0 < present < len(cands):
@@ -212,7 +222,7 @@ class Problem:
 
     @property
     def labeled(self) -> bool:
-        return bool(self.candidates) and self.candidates[0].correct is not None
+        return self.candidates[0].correct is not None
 
     @cached_property
     def answer_columns(self) -> AnswerColumns:
@@ -229,23 +239,31 @@ class Problem:
 
 @dataclass(frozen=True)
 class AnswerCluster:
-    """Candidates sharing one canonical answer, with their score sum.
+    """Candidates sharing one canonical answer, in pool order.
 
-    sum_score sums the raw disc_score of the members and is None when the
-    pool carries no discriminative scores.
+    member_ids, n_a and sum_score are the members'; sum_score sums their
+    raw disc_score in order, and is None when they carry none.
     """
 
     answer_key: str
-    member_ids: tuple[str, ...]
-    n_a: int
-    sum_score: Optional[float] = None
+    members: tuple[Candidate, ...]
 
     def __post_init__(self) -> None:
-        if self.n_a < 1 or self.n_a != len(self.member_ids):
-            raise ValueError(
-                f"cluster {self.answer_key!r}: n_a={self.n_a} inconsistent "
-                f"with {len(self.member_ids)} members"
-            )
+        if not self.members:
+            raise ValueError(f"cluster {self.answer_key!r}: no members")
+
+    @property
+    def member_ids(self) -> tuple[str, ...]:
+        return tuple(c.candidate_id for c in self.members)
+
+    @property
+    def n_a(self) -> int:
+        return len(self.members)
+
+    @property
+    def sum_score(self) -> Optional[float]:
+        scores = [c.disc_score for c in self.members]
+        return None if None in scores else _sum_in_order(scores)
 
     @property
     def selectable(self) -> bool:
@@ -318,10 +336,7 @@ def cluster_by_answer(problem: Problem) -> list[AnswerCluster]:
 
     Clusters are returned in a deterministic order (n_a descending,
     answer_key ascending); selection reports its diagnostics in this order.
-    sum_score is filled from disc_score when every member has one.
     """
-    if not problem.candidates:
-        raise EmptyPoolError(f"problem {problem.problem_id!r}: empty pool")
     return _clusters_of(problem.candidates)
 
 
@@ -330,18 +345,6 @@ def _clusters_of(candidates: Sequence[Candidate]) -> list[AnswerCluster]:
     members: dict[str, list[Candidate]] = {}
     for cand in candidates:
         members.setdefault(cand.cluster_key, []).append(cand)
-
-    scored = all(c.disc_score is not None for c in candidates)
-    clusters = []
-    for key, cands in members.items():
-        total = _sum_in_order(c.disc_score for c in cands) if scored else None
-        clusters.append(
-            AnswerCluster(
-                answer_key=key,
-                member_ids=tuple(c.candidate_id for c in cands),
-                n_a=len(cands),
-                sum_score=total,
-            )
-        )
+    clusters = [AnswerCluster(key, tuple(cands)) for key, cands in members.items()]
     clusters.sort(key=lambda cl: (-cl.n_a, cl.answer_key))
     return clusters

@@ -38,7 +38,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import EmptyPoolError, Problem
+from .core import Problem
 from .costs import LatencyTable, ModelConfig, latency_lookup, pipeline_flops
 from .selection import (
     DEFAULT_GPV_ALPHA,
@@ -190,10 +190,9 @@ _LOW = np.uint64(0xFFFFFFFF)
 _HALF = np.uint64(32)
 # choice(k, n, replace=False) runs Floyd's algorithm for every n at k <= this.
 _MAX_BULK_POOL = 10_000
-# Slate elements drawn and scored at once, and (block, row) cells of Philox
-# computed at once; both keep arrays small, for peak memory and cache.
+# Slate elements drawn and scored at once, to keep arrays small, for peak
+# memory and cache; a chunk's Philox grid is at most _CHUNK / 4 + rows cells.
 _CHUNK = 1 << 14
-_PHILOX_CELLS = 1 << 12
 
 
 def _slate_key(seed: int, problem_id: str) -> np.ndarray:
@@ -211,12 +210,12 @@ def _mulhilo(x: np.ndarray, mul: int) -> tuple[np.ndarray, np.ndarray]:
     return high, x * np.uint64(mul)
 
 
-def _philox(keys: np.ndarray, draws: np.ndarray, blocks: range) -> tuple:
+def _philox(keys: np.ndarray, draws: np.ndarray, blocks: int) -> tuple:
     """Philox4x64-10 output words (x0, x1, x2, x3), each broadcastable to
     (blocks, rows): block b of row r is counter (b + 1, 0, 0, draws[r])
     under key keys[r]. The counter words broadcast, so the first rounds
     work on small arrays."""
-    x0 = np.arange(blocks.start + 1, blocks.stop + 1, dtype=np.uint64)[:, None]
+    x0 = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
     x1 = x2 = np.zeros((1, 1), np.uint64)
     x3 = draws.astype(np.uint64)
     k0, k1 = keys[:, 0].copy(), keys[:, 1].copy()
@@ -235,17 +234,14 @@ def _stream_words(keys: np.ndarray, draws: np.ndarray, count: int) -> np.ndarray
     uint64, shape (count, rows).
 
     Each 64-bit Philox word gives its low half first, as numpy reads
-    them. Blocks are computed a few at a time, to keep arrays small.
+    them.
     """
     rows, blocks = len(draws), -(-count // 8)
     words = np.empty((blocks, 4, 2, rows), "<u8")
-    step = max(1, _PHILOX_CELLS // rows)
-    for start in range(0, blocks, step):
-        part = range(start, min(start + step, blocks))
-        for i, x in enumerate(_philox(keys, draws, part)):
-            x = np.broadcast_to(x, (len(part), rows))
-            np.bitwise_and(x, _LOW, out=words[part.start:part.stop, i, 0])
-            np.right_shift(x, _HALF, out=words[part.start:part.stop, i, 1])
+    for i, x in enumerate(_philox(keys, draws, blocks)):
+        x = np.broadcast_to(x, (blocks, rows))
+        np.bitwise_and(x, _LOW, out=words[:, i, 0])
+        np.right_shift(x, _HALF, out=words[:, i, 1])
     return words.reshape(8 * blocks, rows)[:count]
 
 
@@ -428,7 +424,7 @@ def _with_m(problems: Sequence[Problem], cfg: EvalConfig) -> EvalConfig:
     if cfg.method != "gpv" or cfg.m_verifications is not None:
         return cfg
     lengths = {len(p.candidates[0].gen_scores) for p in problems
-               if p.candidates and p.candidates[0].gen_scores}
+               if p.candidates[0].gen_scores}
     if len(lengths) > 1:
         raise ValueError(f"inconsistent M across problems (gen_scores lengths "
                          f"{sorted(lengths)}): give M")
@@ -449,8 +445,6 @@ def _eval_problems(
     values = []
     groups: dict[int, list[int]] = {}
     for i, problem in enumerate(problems):
-        if not problem.candidates:
-            raise EmptyPoolError(f"problem {problem.problem_id!r}: empty pool")
         if not problem.labeled:
             raise ValueError("labels required")
         values.append(_candidate_values(problem, cfg))
@@ -619,9 +613,6 @@ def budget_curve(
         raise ValueError("flops budget needs a solver config")
     if not problems:
         raise ValueError("no problems")
-    for p in problems:
-        if not p.candidates:
-            raise EmptyPoolError(f"problem {p.problem_id!r}: empty pool")
     base = cfg if cfg is not None else EvalConfig(n=1)
     pipeline_costs: dict[tuple[str, int], list[int]] = {}
 

@@ -49,9 +49,9 @@ class ScoredGroup:
 def group_from_problem(problem: Problem) -> ScoredGroup:
     """Build a ScoredGroup from a labeled, scored pool."""
     cands = problem.candidates  # labeled and scored uniformly, as Problem checks
-    if cands and cands[0].correct is None:
+    if cands[0].correct is None:
         raise ValueError("labels required")
-    if cands and cands[0].disc_score is None:
+    if cands[0].disc_score is None:
         raise ValueError("scores required")
     return ScoredGroup(
         scores=tuple(c.disc_score for c in cands),

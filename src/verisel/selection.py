@@ -92,15 +92,18 @@ class ClusterDiagnostic:
 
     penalty is the alpha-free term psi_a; objective is the value the rule
     maximized. Both are None for the unselectable no-answer cluster and for
-    rules that have no such term.
+    rules that have no such term. mean_score is sum_score / n_a.
     """
 
     answer_key: str
     n_a: int
     sum_score: Optional[float] = None
-    mean_score: Optional[float] = None
     penalty: Optional[float] = None
     objective: Optional[float] = None
+
+    @property
+    def mean_score(self) -> Optional[float]:
+        return None if self.sum_score is None else self.sum_score / self.n_a
 
 
 @dataclass(frozen=True)
@@ -160,6 +163,8 @@ def _resolve_m(gen_scores: Mapping[str, Sequence[float]],
         if len(lengths) != 1:
             raise ValueError("inconsistent M")
         m_verifications = lengths.pop()
+    elif type(m_verifications) is not int:  # not a bool or a float
+        raise ValueError(f"m_verifications must be an int, got {m_verifications!r}")
     if m_verifications < 1 or any(n < m_verifications for n in lengths):
         raise ValueError("inconsistent M")
     return m_verifications
@@ -210,7 +215,6 @@ def _select_clusters(
             answer_key=cl.answer_key,
             n_a=cl.n_a,
             sum_score=total,
-            mean_score=None if total is None else total / cl.n_a,
             penalty=penalty,
             objective=value,
         )
@@ -293,7 +297,6 @@ def select_bon(
             answer_key=cl.answer_key,
             n_a=cl.n_a,
             sum_score=total,
-            mean_score=total / cl.n_a,
             objective=max(map(scores.__getitem__, cl.member_ids))
             if cl.selectable else None,
         )

@@ -95,6 +95,18 @@ class TestEvaluate:
         assert code == 2 and out == ""
         assert f"error: invalid alpha: {alpha}" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["evaluate", "--method", "pv", "-n", "2", "--alpha", "nan"],
+         "invalid alpha: nan"),
+        (["curve", "--methods", "sc", "--draws", "0"], "invalid draw count: 0"),
+        (["curve", "--solver-preset", "qwen2.5-32b", "--solver-config", "x.txt"],
+         "give a preset or a config file, not both"),
+    ])
+    def test_flags_fail_before_input_is_read(self, capsys, tmp_path, argv, message):
+        data = simulate(capsys, tmp_path / "pools.jsonl")
+        code, out, err = run(capsys, [*argv, "-i", data])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_m_beyond_data_fails(self, capsys, tmp_path):
         data = simulate(capsys, tmp_path / "pools.jsonl", gen_verifications=2)
         code, _, err = run(capsys, [

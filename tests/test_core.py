@@ -4,6 +4,7 @@ import dataclasses
 import enum
 import io
 import json
+import math
 import pickle
 import re
 import sys
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from verisel import (
+    AnswerCluster,
     Candidate,
     EmptyPoolError,
     IngestError,
@@ -21,7 +23,9 @@ from verisel import (
     canonicalize_answer,
     cluster_by_answer,
     ingest,
+    select_answer,
 )
+from verisel.selection import ClusterDiagnostic
 from pools import random_problem
 
 
@@ -191,6 +195,13 @@ class TestCandidate:
         with pytest.raises(ValueError, match=re.escape(message)):
             Candidate(candidate_id="c", **fields)
 
+    @pytest.mark.parametrize("cid", [5, None, "", True, b"c"])
+    def test_candidate_id_is_a_non_empty_string(self, cid):
+        # an int id next to "x" once failed bon's sort with a raw TypeError
+        with pytest.raises(ValueError, match=re.escape(
+                f"candidate_id must be a non-empty string, got {cid!r}")):
+            Candidate(candidate_id=cid, answer_raw="a", answer_key="a")
+
     def test_labeled_nan_candidate_is_refused(self):
         # wsc used to pick such a candidate's NaN cluster
         with pytest.raises(ValueError, match="correct must be true or false"):
@@ -247,6 +258,19 @@ class TestProblem:
                     ),
                 ),
             )
+
+    @pytest.mark.parametrize("pid", [7, None, "", ("q",)])
+    def test_problem_id_is_a_non_empty_string(self, pid):
+        # an int id once failed bootstrap_accuracy's id hash with a raw
+        # AttributeError
+        with pytest.raises(ValueError, match=re.escape(
+                f"problem_id must be a non-empty string, got {pid!r}")):
+            Problem(problem_id=pid, candidates=make_problem(["a"]).candidates)
+
+    @pytest.mark.parametrize("candidates", [(), [], iter(())])
+    def test_empty_pool_refused(self, candidates):
+        with pytest.raises(EmptyPoolError, match="^problem 'q': empty pool$"):
+            Problem(problem_id="q", candidates=candidates)
 
     def test_len_and_labeled(self):
         p = make_problem(["a", "b"])
@@ -340,6 +364,25 @@ class TestClusterByAnswer:
     def test_empty_pool(self):
         with pytest.raises(EmptyPoolError, match="empty pool"):
             cluster_by_answer(Problem(problem_id="q", candidates=()))
+
+    def test_cluster_is_its_members(self):
+        problem = make_problem(["A", "B", "A", "A"], [1e16, 0.5, 1.0, -1e16])
+        a, b = cluster_by_answer(problem)
+        assert a.members == tuple(problem.candidates[i] for i in (0, 2, 3))
+        assert a.member_ids == ("c0", "c2", "c3") and a.n_a == 3
+        # summed in pool order: (1e16 + 1.0) - 1e16, where fsum gives 1.0
+        assert a.sum_score == 0.0 and math.fsum([1e16, 1.0, -1e16]) == 1.0
+        assert (b.member_ids, b.n_a, b.sum_score) == (("c1",), 1, 0.5)
+        with pytest.raises(ValueError, match="cluster 'A': no members"):
+            AnswerCluster("A", ())
+
+    def test_mean_score_is_derived(self):
+        result = select_answer(make_problem(["A", "B", "A"], [0.5, 2.0, 0.25]), "sc")
+        assert [(d.answer_key, d.n_a, d.sum_score, d.mean_score)
+                for d in result.cluster_diagnostics] == [
+            ("A", 2, 0.75, 0.375), ("B", 1, 2.0, 2.0)]
+        assert ClusterDiagnostic("A", 2).mean_score is None
+        assert "mean_score" not in {f.name for f in dataclasses.fields(ClusterDiagnostic)}
 
     def test_aggregates_none_without_full_scores(self):
         clusters = cluster_by_answer(make_problem(["A", "A"]))

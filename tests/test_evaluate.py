@@ -483,9 +483,10 @@ class TestBootstrapErrors:
             )
 
     def test_empty_pool(self):
-        empty = Problem(problem_id="void", candidates=())
-        with pytest.raises(EmptyPoolError, match="empty pool"):
-            bootstrap_accuracy([empty], EvalConfig(n=1, draws=5))
+        """Problem refuses an empty pool, so none reaches an evaluation."""
+        with pytest.raises(EmptyPoolError, match="problem 'e': empty pool"):
+            bootstrap_accuracy([Problem(problem_id="e", candidates=())],
+                               EvalConfig(n=1, draws=5))
 
 
 class TestExhaustive:
@@ -824,12 +825,12 @@ class TestBudgetCurve:
         priced = []
         monkeypatch.setattr("verisel.evaluate.pipeline_flops",
                             lambda *a, **kw: priced.append(a) or 1)
-        empty = Problem(problem_id="e", candidates=())
         with pytest.raises(EmptyPoolError, match="problem 'e': empty pool"):
-            budget_curve([empty], ["sc"], [1],
+            budget_curve([Problem(problem_id="e", candidates=())], ["sc"], [1],
                          solver_cfg=MODEL_PRESETS["qwen2.5-32b"])
         with pytest.raises(EmptyPoolError, match="problem 'e': empty pool"):
-            budget_curve(self.problems() + [empty], ["sc", "gpv"], [1, 2],
+            budget_curve(self.problems() + [Problem(problem_id="e", candidates=())],
+                         ["sc", "gpv"], [1, 2],
                          solver_cfg=SOLVER, verifier_cfg=VERIFIER)
         assert priced == []
 

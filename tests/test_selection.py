@@ -1,15 +1,18 @@
 """The five selection rules: contract examples, properties, oracle checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from verisel import (
     Candidate,
     EmptyPoolError,
     EvalConfig,
     Problem,
+    VeriselError,
     bootstrap_accuracy,
     cluster_by_answer,
     select_answer,
@@ -19,7 +22,7 @@ from verisel import (
     select_sc,
     select_wsc,
 )
-from verisel.selection import candidate_scores, sigmoid
+from verisel.selection import METHODS, candidate_scores, sigmoid
 
 import oracles
 from pools import oracle_gen_view, oracle_view, random_problem
@@ -259,6 +262,22 @@ class TestSelectGPV:
         with pytest.raises(ValueError, match="inconsistent M"):
             select_gpv(cl, {"c0": (0.1,), "c1": (0.5,)}, m_verifications=2)
 
+    @pytest.mark.parametrize("m", [2.0, True, np.int64(2)],
+                             ids=["float", "bool", "numpy-int"])
+    def test_m_is_an_int(self, m):
+        # 2.0 once failed in slicing with a raw TypeError; True ran as M = 1
+        cl, gen = self.gen_pool([("A", [1.0, 0.8]), ("B", [0.6, 0.6])])
+        message = re.escape(f"m_verifications must be an int, got {m!r}")
+        with pytest.raises(ValueError, match=message):
+            select_gpv(cl, gen, m_verifications=m)
+        problem = Problem(problem_id="q", candidates=tuple(
+            Candidate(candidate_id=f"c{i}", answer_raw=a, answer_key=a,
+                      correct=a == "A", gen_scores=(0.5, 0.5))
+            for i, a in enumerate("AAB")))
+        cfg = EvalConfig(n=2, method="gpv", draws=5, m_verifications=m)
+        with pytest.raises(ValueError, match=message):
+            bootstrap_accuracy([problem], cfg)
+
     def test_overflowing_mean_is_named(self):
         # x's and y's raw means overflow to +inf and -inf; their cluster's
         # total would be NaN, which once won with objective NaN
@@ -373,3 +392,73 @@ class TestOracleAgreement:
                 ).chosen_answer
                 == oracles.oracle_gpv(gen_view, alpha, m)
             )
+
+
+# Finite scores, some big enough for a raw cluster sum to overflow.
+FINITE = st.one_of(st.floats(-4, 4), st.sampled_from((1e308, -1e308, 2)))
+# What code might pass for one field, of one candidate or of the pool.
+ODD = {
+    "candidate_id": (5, "", None, b"c0", "c0"),
+    "answer_raw": (7, None, "<none>"),
+    "correct": (1, None, "yes", True, False),
+    "disc_score": (math.nan, math.inf, True, "0.5", None, 0.5),
+    "gen_scores": ((), (math.nan,), (0.5,) * 4, None, 0.5),
+    "problem_id": (7, "", None, ("q",)),
+}
+
+
+@st.composite
+def code_built_pools(draw):
+    """A pool's Problem and Candidate arguments: a well-formed pool (empty,
+    unlabeled or unscored at times), then at most one field set to a value
+    from ODD."""
+    size, m = draw(st.integers(0, 6)), draw(st.integers(1, 3))
+    labeled, disc, gen = (draw(st.booleans()) for _ in range(3))
+    right = draw(st.sampled_from(("a", "b")))
+    args = {"problem_id": "q", "candidates": []}
+    for i in range(size):
+        answer = draw(st.sampled_from(("a", "a", "b", "c", "")))
+        args["candidates"].append(dict(
+            candidate_id=f"c{i}", answer_raw=answer, answer_key=answer,
+            correct=answer == right if labeled else None,
+            disc_score=draw(FINITE) if disc else None,
+            gen_scores=draw(st.lists(FINITE, min_size=m, max_size=m)) if gen else None,
+        ))
+    field = draw(st.sampled_from((None,) * 4 + tuple(ODD)))
+    if field == "problem_id":
+        args[field] = draw(st.sampled_from(ODD[field]))
+    elif field is not None and size:
+        target = args["candidates"][draw(st.integers(0, size - 1))]
+        target[field] = draw(st.sampled_from(ODD[field]))
+        if field == "answer_raw" and isinstance(target[field], str):
+            target["answer_key"] = target[field]
+    return args
+
+
+class TestCodeBuiltPools:
+    """Whatever a pool built in code holds, each rule and the evaluator
+    return or fail with a VeriselError or ValueError, never a raw one."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(code_built_pools(), st.sampled_from(("sigmoid", "raw")),
+           st.sampled_from((None, 1, 2, 2.0, True)), st.integers(1, 7),
+           st.booleans())
+    def test_only_named_errors(self, args, transform, m, n, random_ties):
+        try:
+            problem = Problem(args["problem_id"],
+                              [Candidate(**c) for c in args["candidates"]])
+        except (VeriselError, ValueError):
+            return
+        rng = np.random.default_rng(0) if random_ties else None
+        for method in METHODS:
+            try:
+                select_answer(problem, method, m_verifications=m,
+                              transform=transform, rng=rng)
+            except (VeriselError, ValueError):
+                pass
+            cfg = EvalConfig(n=n, method=method, draws=3, m_verifications=m,
+                             transform=transform)
+            try:
+                bootstrap_accuracy([problem], cfg)
+            except (VeriselError, ValueError):
+                pass

@@ -236,6 +236,11 @@ class Problem:
             np.array([graded[key] for key in keys], bool) if self.labeled else None,
         )
 
+    @cached_property
+    def _memo(self) -> dict:
+        """What slate evaluation reads of this pool, kept by evaluate.py."""
+        return {}
+
 
 @dataclass(frozen=True)
 class AnswerCluster:

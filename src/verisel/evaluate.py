@@ -291,24 +291,42 @@ def _draw_slates(
     return slates.T, redo
 
 
+def _kept(problem: Problem, slot, build, tag=None):
+    """problem._memo's value at slot for tag, built on first use; it replaces
+    the slot's value for any other tag, and a build that raises keeps
+    nothing. An array is kept read-only."""
+    memo = problem._memo
+    if slot not in memo or memo[slot][0] != tag:
+        value = build()
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        memo[slot] = (tag, value)
+    return memo[slot][1]
+
+
 def _candidate_values(problem: Problem, cfg: EvalConfig) -> Optional[np.ndarray]:
     """What cfg.method reads of each candidate, in pool order: BoN ranks
     (no-answer candidates take rank k and never win), transformed scores,
-    or gpv means; None for sc. Raises as select_answer does."""
-    cands = problem.candidates
+    or gpv means; None for sc. Each is kept on the problem, per transform
+    (and M), after its first build. Raises as select_answer does."""
+    cands, transform = problem.candidates, cfg.transform
     if cfg.method == "sc":
         return None
     if cfg.method == "bon":
-        ranked = _bon_ranking(cands, candidate_scores(cands, "raw"))
-        place = {c.candidate_id: i for i, c in enumerate(ranked)}
-        return np.array([place.get(c.candidate_id, len(cands)) for c in cands],
-                        np.int32)
+        def ranks():
+            ranked = _bon_ranking(cands, candidate_scores(cands, "raw"))
+            place = {c.candidate_id: i for i, c in enumerate(ranked)}
+            return np.array([place.get(c.candidate_id, len(cands)) for c in cands],
+                            np.int32)
+        return _kept(problem, "bon", ranks)
     if cfg.method == "gpv":
-        gen = candidate_gen_scores(cands, cfg.transform)
-        scores = _gen_means(gen, _resolve_m(gen, cfg.m_verifications))
-    else:
-        scores = candidate_scores(cands, cfg.transform)
-    return np.array(list(scores.values()))
+        gen = _kept(problem, ("gen", transform),
+                    lambda: candidate_gen_scores(cands, transform))
+        m = _resolve_m(gen, cfg.m_verifications)
+        return _kept(problem, ("gpv", transform, m),
+                     lambda: np.array(list(_gen_means(gen, m).values())))
+    return _kept(problem, ("disc", transform),
+                 lambda: np.array(list(candidate_scores(cands, transform).values())))
 
 
 class _PoolStack:
@@ -372,12 +390,13 @@ class _PoolStack:
         pick = tied.argmax(axis=1)
         return np.where(tied.any(axis=1), self.correct[pool, pick], 0.0)
 
-    def sampled(self, cfg: EvalConfig, pids: Sequence[str]) -> np.ndarray:
+    def sampled(self, cfg: EvalConfig, problems: Sequence[Problem]) -> np.ndarray:
         """Per-draw accuracies, shape (pools, cfg.draws)."""
         bulk = not cfg.replacement and self.k <= _MAX_BULK_POOL
-        if bulk:
-            keys = np.array([_slate_key(cfg.seed, pid) for pid in pids])
-        total = len(pids) * cfg.draws
+        if bulk:  # each problem keeps its key for the last seed only
+            keys = np.array([_kept(p, "slate key", lambda: _slate_key(
+                cfg.seed, p.problem_id), cfg.seed) for p in problems])
+        total = len(problems) * cfg.draws
         out = np.empty(total)
         for start in range(0, total, self.step):
             pool, draw = np.divmod(
@@ -391,11 +410,11 @@ class _PoolStack:
                 slates = np.empty((len(draw), self.n), np.intp)
                 redo = np.ones(len(draw), bool)
             for r in np.flatnonzero(redo):
-                rng = slate_rng(cfg.seed, pids[pool[r]], int(draw[r]))
+                rng = slate_rng(cfg.seed, problems[pool[r]].problem_id, int(draw[r]))
                 slates[r] = rng.choice(self.k, size=self.n,
                                        replace=cfg.replacement)
             out[start:start + len(draw)] = self.score(pool, slates)
-        return out.reshape(len(pids), cfg.draws)
+        return out.reshape(len(problems), cfg.draws)
 
     def exhaustive(self, pool: int) -> np.ndarray:
         """One accuracy per C(k, n) slate of a pool, in combinations order."""
@@ -462,7 +481,7 @@ def _eval_problems(
         if exhaustive:
             rows = [stack.exhaustive(j) for j in range(len(members))]
         else:
-            rows = stack.sampled(cfg, [problems[i].problem_id for i in members])
+            rows = stack.sampled(cfg, [problems[i] for i in members])
         for i, row in zip(members, rows):
             out[i] = row
     return out

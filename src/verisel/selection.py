@@ -142,11 +142,12 @@ def _objective(method: str, n_total: int = 1, alpha: float = 0.0, m: int = 1):
         return lambda total, n_a: (None, n_a * 1.0)
     if method == "wsc":
         return lambda total, n_a: (None, total)
-    if not 0 <= alpha < math.inf:
-        raise ValueError("invalid alpha")
     if n_total < 1:
         raise ValueError(f"invalid pool size: {n_total}")
     log_nm = math.log(n_total * m)
+    # NaN, negative, infinite, or so large that alpha * psi_a could overflow
+    if not (0 <= alpha < math.inf and alpha * log_nm < math.inf):
+        raise ValueError(f"invalid alpha: {alpha}")
 
     def pessimistic(total: float, n_a: int) -> tuple[float, float]:
         penalty = log_nm / (n_a * m + 1)

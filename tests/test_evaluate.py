@@ -1,6 +1,7 @@
 """Bootstrap evaluation, pass@N, budget curves, crossover detection."""
 
 import builtins
+import collections
 import dataclasses
 import functools
 import itertools
@@ -750,6 +751,9 @@ class TestBudgetCurve:
         assert len(calls) == len(problems) * 4
 
     def test_columns_built_once_per_problem(self, monkeypatch):
+        """Over 42 points, each problem builds its answer columns, BoN
+        ranks and slate key once, and its disc and gen scores once per
+        transform: raw for bon, sigmoid for the rest."""
         build = Problem.answer_columns.func
         built = []
 
@@ -762,6 +766,22 @@ class TestBudgetCurve:
         monkeypatch.setattr(Problem, "answer_columns", columns)
         rng = np.random.default_rng(54)
         problems = [curve_problem(f"q{i}", rng, m=4) for i in range(4)]
+        pid_of = {id(p.candidates): p.problem_id for p in problems}
+        calls = collections.Counter()
+
+        def count(name, tag):
+            func = getattr(evaluate_module, name)
+
+            def call(*args):
+                calls[(name, *tag(*args))] += 1
+                return func(*args)
+
+            monkeypatch.setattr(evaluate_module, name, call)
+
+        count("candidate_scores", lambda cands, t: (pid_of[id(cands)], t))
+        count("candidate_gen_scores", lambda cands, t: (pid_of[id(cands)], t))
+        count("_bon_ranking", lambda cands, scores: (pid_of[id(cands)],))
+        count("_slate_key", lambda seed, pid: (pid,))
         points = budget_curve(
             problems, METHODS, n_grid=range(1, 7), m_grid=(1, 2, 4),
             solver_cfg=SOLVER, verifier_cfg=VERIFIER,
@@ -769,6 +789,15 @@ class TestBudgetCurve:
         )
         assert len(points) == 42
         assert built == [p.problem_id for p in problems]
+        assert calls == collections.Counter(
+            call for p in problems for call in (
+                ("candidate_scores", p.problem_id, "raw"),
+                ("candidate_scores", p.problem_id, "sigmoid"),
+                ("candidate_gen_scores", p.problem_id, "sigmoid"),
+                ("_bon_ranking", p.problem_id),
+                ("_slate_key", p.problem_id),
+            )
+        )
 
     def test_one_pool_per_curve(self, executors):
         problems = self.problems()
@@ -855,6 +884,80 @@ class TestBudgetCurve:
             budget_curve(problems, ["sc"], n_grid=(1,))
         with pytest.raises(ValueError, match="unknown selection method"):
             budget_curve(problems, ["vote"], n_grid=(1,), solver_cfg=SOLVER)
+
+
+# Each method with its M, as the memo tests run them.
+RULE_RUNS = (("bon", None), ("wsc", None), ("pv", None), ("gpv", 1), ("gpv", 2))
+
+
+class TestKeptRuleInputs:
+    """What a Problem keeps for slate evaluation: its BoN ranks, scores per
+    transform, gpv means per M and one slate key."""
+
+    def problems(self, seed=57):
+        rng = np.random.default_rng(seed)
+        return [curve_problem(f"q{i}", rng) for i in range(3)]
+
+    def test_no_stale_values(self):
+        """The same Problems, evaluated under raw then sigmoid, M = 1 then
+        2, and seed 1, 2, then 1 again, report as fresh Problems do."""
+        held = self.problems()
+        for transform in ("raw", "sigmoid"):
+            for method, m in RULE_RUNS:
+                for seed in (1, 2, 1):
+                    cfg = EvalConfig(n=3, method=method, draws=20, seed=seed,
+                                     transform=transform, m_verifications=m)
+                    fresh = [Problem(p.problem_id, p.candidates) for p in held]
+                    assert bootstrap_accuracy(held, cfg) == \
+                        bootstrap_accuracy(fresh, cfg)
+
+    def test_bounded_and_read_only(self):
+        """A sweep over seeds keeps one slate key, and no array kept can be
+        written to."""
+        (problem,) = self.problems()[:1]
+        for seed in range(5):
+            for transform in ("raw", "sigmoid"):
+                for method, m in RULE_RUNS:
+                    bootstrap_accuracy([problem], EvalConfig(
+                        n=2, method=method, draws=3, seed=seed,
+                        transform=transform, m_verifications=m))
+        assert set(problem._memo) == {
+            "bon", "slate key", ("disc", "raw"), ("disc", "sigmoid"),
+            ("gen", "raw"), ("gen", "sigmoid"), ("gpv", "raw", 1),
+            ("gpv", "raw", 2), ("gpv", "sigmoid", 1), ("gpv", "sigmoid", 2),
+        }
+        assert problem._memo["slate key"][0] == 4
+        arrays = [value for _, value in problem._memo.values()
+                  if isinstance(value, np.ndarray)]
+        assert len(arrays) == 8
+        assert not any(a.flags.writeable for a in arrays)
+
+    def test_failed_build_keeps_nothing(self):
+        problem = Problem(problem_id="q", candidates=tuple(
+            Candidate(candidate_id=f"c{i}", answer_raw="a", answer_key="a",
+                      correct=True, gen_scores=(1e308, 1e308))
+            for i in range(2)
+        ))
+        for _ in range(2):  # the same error each time
+            with pytest.raises(ValueError, match="scores required"):
+                bootstrap_accuracy([problem], EvalConfig(n=1, method="pv", draws=2))
+            with pytest.raises(ValueError, match="mean overflows"):
+                bootstrap_accuracy([problem], EvalConfig(
+                    n=1, method="gpv", draws=2, transform="raw"))
+            with pytest.raises(ValueError, match="inconsistent M"):
+                bootstrap_accuracy([problem], EvalConfig(
+                    n=1, method="gpv", draws=2, m_verifications=3))
+        # the gen scores built; the means and the pv scores never did
+        assert set(problem._memo) == {("gen", "raw"), ("gen", "sigmoid")}
+
+    def test_not_seen_by_repr_or_eq(self):
+        problems = self.problems()
+        before = [(repr(p), hash(p)) for p in problems]
+        for method in METHODS:
+            bootstrap_accuracy(problems, EvalConfig(n=2, method=method, draws=5))
+        assert all(p._memo for p in problems)
+        assert [(repr(p), hash(p)) for p in problems] == before
+        assert problems == [Problem(p.problem_id, p.candidates) for p in problems]
 
 
 class TestCrossover:

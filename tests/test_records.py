@@ -103,6 +103,16 @@ class TestIngest:
         (exact,) = ingest_text(text, canon="exact")
         assert [c.answer_key for c in exact.candidates] == ["0.5", "1/2", "3/4"]
 
+    def test_repeated_key_last_wins(self):
+        """As json.loads reads an object, the last of a repeated key wins."""
+        (problem,) = ingest_text(
+            '{"problem_id": "p0", "problem_id": "p1", "candidate_id": "c1", '
+            '"answer": "7", "correct": true, "correct": false, '
+            '"disc_score": 1, "disc_score": 2.5}'
+        )
+        (c,) = problem.candidates
+        assert (problem.problem_id, c.correct, c.disc_score) == ("p1", False, 2.5)
+
     def test_unknown_field_warns_once(self, caplog):
         text = "\n".join([
             line(candidate_id="c1", latency_ms=5),

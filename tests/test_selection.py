@@ -217,6 +217,48 @@ class TestSelectPV:
         assert result.chosen_answer == "A"
 
 
+def two_answer_pool(k, small, score):
+    """k labeled candidates: the first `small` answer "b" (incorrect) with
+    disc_score score, the rest answer "a" (correct) with 0."""
+    return Problem(problem_id="q", candidates=tuple(
+        Candidate(candidate_id=f"c{i:03d}", answer_raw=ans, answer_key=ans,
+                  correct=ans == "a", disc_score=score if ans == "b" else 0.0)
+        for i, ans in enumerate(["b"] * small + ["a"] * (k - small))
+    ))
+
+
+# At alpha = 1e308, alpha * psi_a overflows on both: the singleton's
+# objective was -inf (and the evaluator's multiply warned), and the
+# 2-member cluster's, its total +inf, was NaN.
+HUGE_ALPHA_POOLS = pytest.mark.parametrize("problem, transform", [
+    (two_answer_pool(41, 1, 0.0), "sigmoid"),
+    (two_answer_pool(300, 2, 1e308), "raw"),
+], ids=["singleton-of-41", "inf-total-of-300"])
+
+
+class TestHugeAlpha:
+    @HUGE_ALPHA_POOLS
+    def test_select_answer_refuses(self, problem, transform):
+        with pytest.raises(ValueError, match=r"invalid alpha: 1e\+308"):
+            select_answer(problem, "pv", alpha=1e308, transform=transform)
+
+    @HUGE_ALPHA_POOLS
+    def test_evaluator_refuses(self, problem, transform):
+        cfg = EvalConfig(n=len(problem), method="pv", draws=1, alpha=1e308,
+                         transform=transform)
+        with pytest.raises(ValueError, match=r"invalid alpha: 1e\+308"):
+            bootstrap_accuracy([problem], cfg)
+
+    @HUGE_ALPHA_POOLS
+    def test_large_finite_alpha_still_runs(self, problem, transform):
+        """alpha = 1e9 is kept, and both paths pick alike on the whole pool."""
+        pick = select_answer(problem, "pv", alpha=1e9, transform=transform)
+        cfg = EvalConfig(n=len(problem), method="pv", draws=1, alpha=1e9,
+                         transform=transform)
+        assert bootstrap_accuracy([problem], cfg).mean == \
+            float(pick.chosen_answer == "a")
+
+
 class TestSelectGPV:
     def gen_pool(self, spec):
         """spec: list of (answer, [scores...])."""

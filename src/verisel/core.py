@@ -35,6 +35,13 @@ class IngestError(VeriselError):
     """Raised when input records violate a structural invariant."""
 
 
+def _check_int(name: str, value: int) -> None:
+    """value is an int by exact type: a bool, a float or any other int
+    subclass is not one."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def _check_token_count(name: str, value: int) -> None:
     """A token count is a non-negative int, by exact type: a bool, or any
     other int subclass, is not one."""

@@ -22,7 +22,7 @@ from operator import mul
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
-from .core import TokenStats, _check_token_count
+from .core import TokenStats, _check_int, _check_token_count
 
 PIPELINE_MODES = ("sc", "disc", "gen")
 
@@ -48,7 +48,7 @@ class ModelConfig:
     def __post_init__(self) -> None:
         for name in ("d", "m", "L", "V"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:  # not a bool
                 raise ValueError(f"invalid model dimension: {name}={value!r}")
 
     @classmethod
@@ -294,6 +294,8 @@ class LatencyTable:
         for (role, n, m), seconds in self.entries.items():
             if role not in (GENERATION, DISC_VERIFY, GEN_VERIFY):
                 raise ValueError(f"unknown latency role: {role!r}")
+            _check_int("latency N", n)
+            _check_int("latency M", m)
             if n < 1 or m < 0 or not 0 <= seconds < math.inf:
                 raise ValueError(f"invalid latency entry: {(role, n, m, seconds)}")
 

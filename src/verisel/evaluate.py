@@ -30,6 +30,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -38,7 +39,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Problem
+from .core import Problem, _check_int
 from .costs import LatencyTable, ModelConfig, latency_lookup, pipeline_flops
 from .selection import (
     DEFAULT_GPV_ALPHA,
@@ -73,6 +74,13 @@ class EvalConfig:
     ci_method: str = "normal"
 
     def __post_init__(self) -> None:
+        for name in ("n", "draws", "seed"):
+            _check_int(name, getattr(self, name))
+        for name in ("ci_level", "alpha"):  # alpha None: the method's default
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not real and not (name == "alpha" and value is None):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.n < 1:
             raise ValueError(f"invalid slate size: {self.n}")
         if self.draws < 1:
@@ -86,9 +94,6 @@ class EvalConfig:
         if self.ci_method not in ("normal", "percentile"):
             raise ValueError(f"unknown ci method: {self.ci_method!r}")
         _transform_fn(self.transform)  # raises as select_answer does
-        for name in ("n", "draws", "seed"):  # exactly int: not a bool or float
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         # NaN or +inf; a negative alpha fails where it is used, in _objective
         if self.alpha is not None and not self.alpha < math.inf:
             raise ValueError(f"invalid alpha: {self.alpha}")
@@ -338,9 +343,10 @@ class _PoolStack:
     order are selection.py's.
     """
 
-    def __init__(self, problems: Sequence[Problem],
-                 values: Sequence[Optional[np.ndarray]], cfg: EvalConfig):
+    def __init__(self, problems: Sequence[Problem], cfg: EvalConfig):
+        self.problems, self.cfg = problems, cfg
         columns = [p.answer_columns for p in problems]
+        values = [_candidate_values(p, cfg) for p in problems]
         self.k, self.n = len(problems[0]), cfg.n
         width = max(len(c.correct) for c in columns)
         self.correct = np.zeros((len(columns), width))
@@ -382,7 +388,10 @@ class _PoolStack:
         ).reshape(rows, width)
         live = (counts > 0) & self.selectable[pool]
         value = np.full((rows, width), -np.inf)
-        value[live] = self.objective(totals[live], counts[live])[1]
+        # alpha * psi_a is finite, so a total near the largest double can
+        # only overflow to -inf, as the scalar objective rounds it
+        with np.errstate(over="ignore"):
+            value[live] = self.objective(totals[live], counts[live])[1]
         # selection._order's minimum: objective, then support, descending;
         # then code
         tied = live & (value == value.max(axis=1, keepdims=True))
@@ -390,8 +399,9 @@ class _PoolStack:
         pick = tied.argmax(axis=1)
         return np.where(tied.any(axis=1), self.correct[pool, pick], 0.0)
 
-    def sampled(self, cfg: EvalConfig, problems: Sequence[Problem]) -> np.ndarray:
+    def sampled(self) -> np.ndarray:
         """Per-draw accuracies, shape (pools, cfg.draws)."""
+        cfg, problems = self.cfg, self.problems
         bulk = not cfg.replacement and self.k <= _MAX_BULK_POOL
         if bulk:  # each problem keeps its key for the last seed only
             keys = np.array([_kept(p, "slate key", lambda: _slate_key(
@@ -429,11 +439,6 @@ class _PoolStack:
             out.append(self.score(np.full(len(slates), pool), slates))
 
 
-def _workers(jobs: int, tasks: int) -> int:
-    """Worker processes for tasks: at most jobs, the CPU count and tasks."""
-    return min(jobs, os.cpu_count() or 1, tasks)
-
-
 def _with_m(problems: Sequence[Problem], cfg: EvalConfig) -> EvalConfig:
     """cfg with gpv's M filled in: the gen_scores length of every problem.
 
@@ -451,7 +456,7 @@ def _with_m(problems: Sequence[Problem], cfg: EvalConfig) -> EvalConfig:
 
 
 def _eval_problems(
-    args: tuple[Sequence[Problem], EvalConfig, bool]
+    problems: Sequence[Problem], cfg: EvalConfig, exhaustive: bool
 ) -> list[np.ndarray]:
     """Per-draw 0/1 accuracy vectors, one per problem, in order.
 
@@ -459,32 +464,58 @@ def _eval_problems(
     pool size are drawn and scored together, a chunk of rows at a time; no
     row depends on the problems it shares a chunk with.
     """
-    problems, cfg, exhaustive = args
     cfg = _with_m(problems, cfg)
-    values = []
     groups: dict[int, list[int]] = {}
     for i, problem in enumerate(problems):
         if not problem.labeled:
             raise ValueError("labels required")
-        values.append(_candidate_values(problem, cfg))
         if not cfg.replacement and cfg.n > len(problem):
             raise ValueError(f"slate too large: n={cfg.n} > pool "
                              f"{len(problem)} for {problem.problem_id!r}")
         groups.setdefault(len(problem), []).append(i)
-    stacks = [(members, _PoolStack([problems[i] for i in members],
-                                   [values[i] for i in members], cfg))
+    stacks = [(members, _PoolStack([problems[i] for i in members], cfg))
               for members in groups.values()]
-    del values  # the stacks hold all that scoring reads
 
     out: list[np.ndarray] = [np.empty(0)] * len(problems)
     for members, stack in stacks:
         if exhaustive:
             rows = [stack.exhaustive(j) for j in range(len(members))]
         else:
-            rows = stack.sampled(cfg, [problems[i] for i in members])
+            rows = stack.sampled()
         for i, row in zip(members, rows):
             out[i] = row
     return out
+
+
+_held: Sequence[Problem] = ()  # a pool worker's problems, set by _hold
+
+
+def _hold(problems: Sequence[Problem]) -> None:
+    global _held
+    _held = problems
+
+
+def _run_held(task: tuple):
+    func, part, *args = task
+    return func(_held[part], *args)
+
+
+def _map_problems(func, problems: Sequence[Problem], tasks: list[tuple],
+                  jobs: int) -> list:
+    """func(problems[part], *args) for each (part, *args) of tasks, in order,
+    in process or on one pool of at most jobs, the CPU count and len(tasks)
+    workers. Each worker gets the problems once, from the initializer; a
+    task pickles func by name, so func is a module-level function here. The
+    first failure cancels the pending tasks."""
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
+        return [func(problems[part], *args) for part, *args in tasks]
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_hold,
+                               initargs=(problems,))
+    try:
+        return list(pool.map(_run_held, [(func, *task) for task in tasks]))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def bootstrap_accuracy(
@@ -522,15 +553,11 @@ def bootstrap_accuracy(
                              f"problem, more than {_MAX_EXHAUSTIVE_SLATES:,}")
 
     cfg = _with_m(problems, cfg)
-    workers = _workers(jobs, len(problems))
-    if workers > 1:
-        size = -(-len(problems) // (workers * 4))
-        work = [(problems[i:i + size], cfg, exhaustive)
-                for i in range(0, len(problems), size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = [row for part in pool.map(_eval_problems, work) for row in part]
-    else:
-        rows = _eval_problems((problems, cfg, exhaustive))
+    size = len(problems) if jobs <= 1 else -(-len(problems) // (4 * jobs))
+    tasks = [(slice(i, i + size), cfg, exhaustive)
+             for i in range(0, len(problems), size)]
+    rows = [row for part in _map_problems(_eval_problems, problems, tasks, jobs)
+            for row in part]
 
     matrix = np.vstack(rows)
     per_problem = matrix.mean(axis=1)
@@ -575,6 +602,7 @@ def pass_at_n(problem: Problem, n: int) -> float:
     Unbiased over the pool: 1 - C(k-c, n) / C(k, n) for a pool of k with c
     correct.
     """
+    _check_int("n", n)
     if not problem.labeled:
         raise ValueError("labels required")
     k = len(problem.candidates)
@@ -584,18 +612,8 @@ def pass_at_n(problem: Problem, n: int) -> float:
     return 1.0 - math.comb(k - c, n) / math.comb(k, n)
 
 
-# A curve's problems, in each of its worker processes; set by the pool's
-# initializer, so they are sent once per worker instead of once per point.
-_curve_problems: Sequence[Problem] = ()
-
-
-def _hold_curve_problems(problems: Sequence[Problem]) -> None:
-    global _curve_problems
-    _curve_problems = problems
-
-
-def _curve_point(cfg: EvalConfig) -> BootstrapReport:
-    return bootstrap_accuracy(_curve_problems, cfg, jobs=1)
+def _curve_point(problems: Sequence[Problem], cfg: EvalConfig) -> BootstrapReport:
+    return bootstrap_accuracy(problems, cfg, jobs=1)
 
 
 def budget_curve(
@@ -676,19 +694,8 @@ def budget_curve(
         )
         for method, m, n, _ in plan
     ]
-    workers = _workers(jobs, len(runs))
-    if workers > 1:
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_hold_curve_problems,
-            initargs=(problems,),
-        )
-        try:
-            reports = list(pool.map(_curve_point, runs))
-        finally:
-            pool.shutdown(cancel_futures=True)
-    else:
-        reports = [bootstrap_accuracy(problems, run) for run in runs]
+    reports = _map_problems(_curve_point, problems,
+                            [(slice(None), run) for run in runs], jobs)
 
     return [
         BudgetPoint(

@@ -33,6 +33,7 @@ from .core import (
     Candidate,
     EmptyPoolError,
     Problem,
+    _check_int,
     _clusters_of,
     _sum_in_order,
     cluster_by_answer,
@@ -164,8 +165,8 @@ def _resolve_m(gen_scores: Mapping[str, Sequence[float]],
         if len(lengths) != 1:
             raise ValueError("inconsistent M")
         m_verifications = lengths.pop()
-    elif type(m_verifications) is not int:  # not a bool or a float
-        raise ValueError(f"m_verifications must be an int, got {m_verifications!r}")
+    else:
+        _check_int("m_verifications", m_verifications)
     if m_verifications < 1 or any(n < m_verifications for n in lengths):
         raise ValueError("inconsistent M")
     return m_verifications

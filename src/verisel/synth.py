@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Candidate, Problem, TokenStats
+from .core import Candidate, Problem, TokenStats, _check_int
 
 # Beta parameters of the confidently-wrong tail's disc_score.
 _WRONG_TAIL_DIST = (20.0, 1.0)
@@ -53,6 +53,9 @@ class SynthSpec:
     wrong_tail: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("seed", "n_problems", "pool_size", "answer_space",
+                     "gen_verifications"):
+            _check_int(name, getattr(self, name))
         if not 0 <= self.seed < 2**63:
             raise ValueError(f"seed out of range [0, 2**63): {self.seed}")
         if self.n_problems < 1 or self.pool_size < 1 or self.answer_space < 1:

@@ -339,7 +339,7 @@ def test_criterion_08_enumerated_evaluation_is_exact():
         for method in methods:
             for n in (1, 2, 3):
                 cfg = EvalConfig(n=n, method=method)
-                rows = _eval_problems(([problem], cfg, True))[0]
+                rows = _eval_problems([problem], cfg, True)[0]
                 for row, idx in zip(
                     rows, itertools.combinations(range(k), n)
                 ):

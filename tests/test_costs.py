@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import re
 
 import pytest
 
@@ -34,6 +35,13 @@ class TestModelConfig:
             kwargs[field] = value
             with pytest.raises(ValueError, match="invalid model dimension"):
                 ModelConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["d", "m", "L", "V"])
+    def test_rejects_bool_dimension(self, field):
+        # isinstance(True, int) once let a bool through as 1
+        kwargs = {"d": 2, "m": 3, "L": 4, "V": 5, field: True}
+        with pytest.raises(ValueError, match=f"invalid model dimension: {field}=True"):
+            ModelConfig(**kwargs)
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "model.cfg"
@@ -381,6 +389,16 @@ class TestLatency:
             LatencyTable(entries={("generation", 0, 0): 1.0})
         with pytest.raises(ValueError, match="invalid latency entry"):
             LatencyTable(entries={("generation", 1, 0): -1.0})
+
+    @pytest.mark.parametrize("key, message", [
+        (("generation", 1.5, 0), "latency N must be an int, got 1.5"),
+        (("generation", 1, True), "latency M must be an int, got True"),
+        (("gen_verify", 2, 1.0), "latency M must be an int, got 1.0"),
+    ])
+    def test_counts_are_ints(self, key, message):
+        # these were once accepted, and M=True answered lookups of M=1
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LatencyTable(entries={key: 1.0})
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
     def test_non_finite_seconds_rejected(self, literal):

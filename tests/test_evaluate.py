@@ -8,6 +8,7 @@ import itertools
 import math
 import re
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -72,9 +73,7 @@ def executors(monkeypatch):
             self.shutdown()
 
     monkeypatch.setattr("verisel.evaluate.ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(
-        "verisel.evaluate._curve_problems", evaluate_module._curve_problems
-    )
+    monkeypatch.setattr("verisel.evaluate._held", evaluate_module._held)
     monkeypatch.setattr("verisel.evaluate.os.cpu_count", lambda: 3)
     return opened
 
@@ -138,6 +137,18 @@ class TestEvalConfig:
                 f"{name} must be an int, got {value!r}")):
             EvalConfig(**{"n": 1, name: value})
 
+    @pytest.mark.parametrize("name, value, kind", [
+        ("n", "3", "an int"), ("draws", None, "an int"),
+        ("ci_level", "x", "a number"), ("ci_level", None, "a number"),
+        ("alpha", "x", "a number"), ("alpha", True, "a number"),
+    ])
+    def test_types_checked_before_ranges(self, name, value, kind):
+        # all but alpha=True, which passed as 1, once failed a range check
+        # with a raw TypeError
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be {kind}, got {value!r}")):
+            EvalConfig(**{"n": 1, name: value})
+
     @pytest.mark.parametrize("alpha", [math.nan, math.inf])
     def test_non_finite_alpha(self, alpha):
         # a NaN alpha once made every pv objective NaN: mean 0, no error
@@ -184,7 +195,7 @@ class TestSlateEquivalence:
                     seed=int(rng.integers(1_000_000)),
                     transform="raw" if trial % 2 else "sigmoid",
                 )
-                rows = _eval_problems(([problem], cfg, False))[0]
+                rows = _eval_problems([problem], cfg, False)[0]
                 for t in range(cfg.draws):
                     idx = slate_rng(cfg.seed, problem.problem_id, t).choice(
                         k, size=cfg.n, replace=False
@@ -200,7 +211,7 @@ class TestSlateEquivalence:
                 rng, min_size=6, max_size=6, labeled=True, pid=f"ex-{method}"
             )
             cfg = EvalConfig(n=3, method=method)
-            rows = _eval_problems(([problem], cfg, True))[0]
+            rows = _eval_problems([problem], cfg, True)[0]
             slates = list(itertools.combinations(range(6), 3))
             assert len(rows) == len(slates) == 20
             for row, idx in zip(rows, slates):
@@ -221,7 +232,7 @@ class TestSlateEquivalence:
             cfg = EvalConfig(n=2, method="gpv", transform="raw")
             assert select_answer(problem, "gpv", transform="raw") \
                 .chosen_answer == "A"
-            rows = _eval_problems(([problem], cfg, True))[0]
+            rows = _eval_problems([problem], cfg, True)[0]
             assert rows.tolist() == [float(a_correct)]
             assert rows[0] == select_on_slate(problem, np.arange(2), cfg)
 
@@ -261,7 +272,7 @@ class TestInOrderSums:
         )
         for method in ("wsc", "pv"):
             cfg = EvalConfig(n=4, method=method, transform="raw")
-            (slate,) = _eval_problems(([problem], cfg, True))[0]
+            (slate,) = _eval_problems([problem], cfg, True)[0]
             assert slate == 1.0  # the whole-pool slate picks a
             assert select_answer(problem, method, transform="raw").chosen_answer == "a"
         sums = {cl.answer_key: cl.sum_score for cl in cluster_by_answer(problem)}
@@ -565,7 +576,7 @@ class TestExhaustive:
             bootstrap_accuracy(problems, EvalConfig(n=7), exhaustive=True)
 
     def test_slate_count_capped(self, monkeypatch):
-        def enumerate_slates(args):
+        def enumerate_slates(*args):
             raise AssertionError("slates enumerated past the cap")
 
         monkeypatch.setattr(evaluate_module, "_eval_problems", enumerate_slates)
@@ -612,6 +623,14 @@ class TestPassAtN:
         labeled = random_problem(rng, min_size=3, max_size=3, labeled=True)
         with pytest.raises(ValueError, match="slate too large"):
             pass_at_n(labeled, 4)
+
+    @pytest.mark.parametrize("n", [True, 2.5])
+    def test_n_is_an_int(self, n):
+        # True once gave pass@1, and 2.5 a raw TypeError from math.comb
+        rng = np.random.default_rng(53)
+        labeled = random_problem(rng, min_size=3, max_size=3, labeled=True)
+        with pytest.raises(ValueError, match=re.escape(f"n must be an int, got {n!r}")):
+            pass_at_n(labeled, n)
 
 
 def curve_problem(pid, rng, k=6, m=2):
@@ -806,7 +825,7 @@ class TestBudgetCurve:
                       cfg=EvalConfig(n=1, draws=10), verification_out_tokens=7)
         serial = budget_curve(problems, jobs=1, **kwargs)
         assert executors == []
-        assert evaluate_module._curve_problems == ()  # nothing held in process
+        assert evaluate_module._held == ()  # nothing held in process
         assert budget_curve(problems, jobs=10**6, **kwargs) == serial
         assert budget_curve(problems, ["sc"], n_grid=(1, 2), jobs=3,
                             solver_cfg=SOLVER, cfg=kwargs["cfg"]) == serial[:2]
@@ -884,6 +903,39 @@ class TestBudgetCurve:
             budget_curve(problems, ["sc"], n_grid=(1,))
         with pytest.raises(ValueError, match="unknown selection method"):
             budget_curve(problems, ["vote"], n_grid=(1,), solver_cfg=SOLVER)
+
+
+class TestProcessPool:
+    def test_tasks_pickle_module_functions_by_name(self, monkeypatch):
+        """On real worker processes, with bootstrap_accuracy wrapped in a
+        closure as the benchmark's traced run wraps it, both entry points
+        report as at jobs=1: a task names only module-level functions of
+        evaluate.py, never the wrapped one."""
+        opened = []
+
+        class CountedPool(ProcessPoolExecutor):
+            def __init__(self, **kwargs):
+                opened.append(kwargs["max_workers"])
+                super().__init__(**kwargs)
+
+        rng = np.random.default_rng(54)
+        problems = [curve_problem(f"q{i}", rng) for i in range(4)]
+        cfg = EvalConfig(n=2, method="pv", draws=20, seed=3)
+        curve = dict(methods=("sc", "gpv"), n_grid=(1, 2, 4), m_grid=(1, 2),
+                     solver_cfg=SOLVER, verifier_cfg=VERIFIER, cfg=cfg,
+                     verification_out_tokens=7)
+        serial = (bootstrap_accuracy(problems, cfg), budget_curve(problems, **curve))
+        wrapped = evaluate_module.bootstrap_accuracy
+
+        def wrapper(*args, **kwargs):
+            return wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate_module, "bootstrap_accuracy", wrapper)
+        monkeypatch.setattr(evaluate_module, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr("verisel.evaluate.os.cpu_count", lambda: 2)
+        assert (wrapper(problems, cfg, jobs=2),
+                budget_curve(problems, jobs=2, **curve)) == serial
+        assert opened == [2, 2]
 
 
 # Each method with its M, as the memo tests run them.

@@ -3,6 +3,7 @@
 import io
 import json
 import logging
+import math
 import re
 
 import numpy as np
@@ -260,12 +261,22 @@ TOKEN_FIELDS = (
 
 
 def reference_ingest(text, canon):
-    """ingest's result, or its error message, for well-formed records:
-    every Candidate built record by record, with a fresh
+    """ingest's result, or its error message: each line parsed on its own
+    by json.loads, and every Candidate built record by record, with a fresh
     canonicalize_answer call and a fresh TokenStats."""
     pools = {}
-    for lineno, text_line in enumerate(text.splitlines(), 1):
-        record = json.loads(text_line)
+    for lineno, text_line in enumerate(text.split("\n"), 1):
+        if not text_line.strip():
+            continue
+        try:
+            record = json.loads(text_line)
+        except json.JSONDecodeError as exc:
+            return f"line {lineno}: invalid JSON ({exc.msg})"
+        if not isinstance(record, dict):
+            return f"line {lineno}: expected an object"
+        for key in ("problem_id", "candidate_id"):
+            if not isinstance(record.get(key), str) or record[key] == "":
+                return f"line {lineno}: missing field {key!r}"
         raw = record.get("answer")
         raw = "" if raw is None else raw
         try:
@@ -282,6 +293,8 @@ def reference_ingest(text, canon):
         except (TypeError, ValueError) as exc:
             return f"line {lineno}: {exc}"
         pools.setdefault(record["problem_id"], []).append(candidate)
+    if not pools:
+        return "no problems"
     try:
         return [Problem(problem_id=pid, candidates=tuple(c)) for pid, c in pools.items()]
     except IngestError as exc:
@@ -294,19 +307,52 @@ ANSWERS = (
     "7", " 7", "7 ", "7.0", "14/2", "x  y", "x y", " x\ty ", "1/2", "0.5", "",
     "   ", "1e5000", "<none>", None, 7, ["7"],
 )
-# Valid counts come up three times as often as each invalid one.
+# Valid values come up several times as often as each invalid one.
 TOKEN_VALUES = (0, 1, 2**70) * 3 + (None, True, 1.0, -1)
+DISC_SCORES = (0.5, -1.5, 0, 2, 1e308) * 2 + (
+    None, True, "0.5", math.nan, math.inf, 2**1100)
+GEN_SCORES = ([0.25, 0.75], [0.5, 0.5], [1, 0]) * 2 + (
+    [0.5], [], None, [True], ["x"], 0.5, [math.nan], "ab")
+LABELS = (True, False) * 3 + (None, 1, 0, "true")
+PROBLEM_IDS = ("p", "q") * 12 + ("", 7, None)
+# "next" stands for the record's own id, c0, c1, ...; "c0" repeats one.
+CANDIDATE_IDS = ("next",) * 36 + ("", 3, None, True, "c0")
+# Lines that are not a record, together drawn a twelfth as often as a
+# record: broken or extra JSON, JSON that is not an object, an object
+# without ids, and blank lines, which are skipped.
+BAD_LINES = (
+    '{"problem_id": "p"', '{"problem_id": "p", "candidate_id": "x",}',
+    '{"a": 1} {"b": 2}', "[1, 2]", "null", '"text"', "NaN", "{}",
+    '{"candidate_id": "z"}', "", "   ", "\t{",
+)
 RECORDS = st.lists(
-    st.fixed_dictionaries(
-        {"problem_id": st.sampled_from(("p", "q"))},
-        optional={
-            "answer": st.sampled_from(ANSWERS),
-            "latency_ms": st.just(5),
-            **{name: st.sampled_from(TOKEN_VALUES) for name in TOKEN_FIELDS[:3]},
-        },
+    st.tuples(
+        st.sampled_from(("record",) * (12 * len(BAD_LINES)) + BAD_LINES),
+        st.fixed_dictionaries(
+            {"problem_id": st.sampled_from(PROBLEM_IDS),
+             "candidate_id": st.sampled_from(CANDIDATE_IDS)},
+            optional={
+                "answer": st.sampled_from(ANSWERS),
+                "correct": st.sampled_from(LABELS),
+                "disc_score": st.sampled_from(DISC_SCORES),
+                "gen_scores": st.sampled_from(GEN_SCORES),
+                "latency_ms": st.just(5),
+                **{name: st.sampled_from(TOKEN_VALUES) for name in TOKEN_FIELDS[:3]},
+            },
+        ),
     ),
     min_size=1, max_size=8,
 )
+
+
+def record_line(i, drawn):
+    """Line i of the input: the drawn record, or the drawn bad line."""
+    line, drawn = drawn
+    if line != "record":
+        return line
+    if drawn["candidate_id"] == "next":
+        drawn = dict(drawn, candidate_id=f"c{i}")
+    return json.dumps(drawn)
 
 
 class TestAnswerKeyCache:
@@ -348,16 +394,18 @@ class TestAnswerKeyCache:
             ingest_text(line(candidate_id="c1", answer="7") + "\n"
                         + line(candidate_id="c2", answer="7", prompt_tokens=None))
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=600)
     @given(RECORDS, st.sampled_from(("exact", "numeric")))
     def test_same_as_record_by_record(self, drawn, canon):
-        text = "\n".join(
-            json.dumps(dict(record, candidate_id=f"c{i}"))
-            for i, record in enumerate(drawn))
+        """Answers, labels, scores, ids, token counts, an unknown field and
+        bad lines: ingest gives the reference's Problems, or an IngestError
+        with its message, which names the line or the problem."""
+        text = "\n".join(record_line(i, d) for i, d in enumerate(drawn))
         try:
             got = ingest_text(text, canon=canon)
         except IngestError as exc:
             got = str(exc)
+            assert re.match(r"line \d+: |problem '|no problems$", got), got
         assert repr(got) == repr(reference_ingest(text, canon))
 
 

@@ -1,7 +1,9 @@
 """The five selection rules: contract examples, properties, oracle checks."""
 
+import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +259,29 @@ class TestHugeAlpha:
                          transform=transform)
         assert bootstrap_accuracy([problem], cfg).mean == \
             float(pick.chosen_answer == "a")
+
+    def test_objective_rounds_to_minus_inf_without_warning(self):
+        """An accepted alpha, 1e308 * ln 3 being finite, with a raw score
+        near the largest double: b's objective overflows to -inf on both
+        paths, and the evaluator once warned in its subtraction."""
+        problem = two_answer_pool(3, 1, -1.7e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = select_answer(problem, "pv", alpha=1e308, transform="raw")
+            objectives = {d.answer_key: d.objective
+                          for d in result.cluster_diagnostics}
+            assert objectives["b"] == -math.inf and math.isfinite(objectives["a"])
+            assert result.chosen_answer == "a"
+            for n in (1, 2, 3):
+                picks = [select_answer(
+                    Problem(problem_id="q", candidates=slate), "pv",
+                    alpha=1e308, transform="raw").chosen_answer == "a"
+                    for slate in itertools.combinations(problem.candidates, n)]
+                cfg = EvalConfig(n=n, method="pv", draws=20, alpha=1e308,
+                                 transform="raw")
+                exact = bootstrap_accuracy([problem], cfg, exhaustive=True)
+                assert exact.mean == np.mean(picks)
+                assert 0.0 <= bootstrap_accuracy([problem], cfg).mean <= 1.0
 
 
 class TestSelectGPV:

@@ -125,7 +125,7 @@ class TestRejection:
         monkeypatch.setattr(evaluate_module._PoolStack, "score", keep)
         cfg = EvalConfig(n=n, method="wsc", draws=50, seed=42)
         pool = self.pool()
-        rows = _eval_problems(([pool], cfg, False))[0]
+        rows = _eval_problems([pool], cfg, False)[0]
         (slates,) = scored
         assert slates[46].tolist() == want.tolist()
         for t in range(50):
@@ -169,13 +169,13 @@ class TestInfiniteTotals:
             n = int(rng.integers(2, k + 1))
             cfg = EvalConfig(n=n, method=method, draws=40, seed=trial,
                              transform="raw")
-            rows = _eval_problems(([problem], cfg, False))[0]
+            rows = _eval_problems([problem], cfg, False)[0]
             for t in range(cfg.draws):
                 idx = slate_rng(trial, problem.problem_id, t).choice(
                     k, size=n, replace=False)
                 assert rows[t] == self.pick(problem, idx, method)
             slates = list(itertools.combinations(range(k), n))
-            rows = _eval_problems(([problem], cfg, True))[0]
+            rows = _eval_problems([problem], cfg, True)[0]
             for row, idx in zip(rows, slates):
                 assert row == self.pick(problem, idx, method)
                 sums = {}

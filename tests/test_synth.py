@@ -44,6 +44,17 @@ class TestSpecValidation:
                 spec(seed=seed)
         assert generate_pool(spec(seed=2**63 - 1, n_problems=1))
 
+    @pytest.mark.parametrize("name, value", [
+        ("answer_space", 1.5), ("seed", "1"), ("n_problems", 2.5),
+        ("gen_verifications", True), ("pool_size", np.int64(4)),
+    ])
+    def test_counts_are_ints(self, name, value):
+        # answer_space=1.5 once generated a pool; the others ended in a raw
+        # TypeError, here or in generate_pool
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be an int, got {value!r}")):
+            spec(**{name: value})
+
     def test_wrong_tail_out_of_range(self):
         for share in (-0.1, 1.5):
             with pytest.raises(ValueError, match="wrong_tail"):

@@ -7,6 +7,7 @@ so pools can be evaluated concurrently without shared state.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 import sys
 from dataclasses import dataclass
@@ -40,6 +41,12 @@ def _check_int(name: str, value: int) -> None:
     subclass is not one."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def _check_number(name: str, value: float) -> None:
+    """value is a real number (an int or a float, say), but not a bool."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def _check_token_count(name: str, value: int) -> None:

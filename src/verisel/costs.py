@@ -22,7 +22,7 @@ from operator import mul
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
-from .core import TokenStats, _check_int, _check_token_count
+from .core import TokenStats, _check_int, _check_number, _check_token_count
 
 PIPELINE_MODES = ("sc", "disc", "gen")
 
@@ -296,6 +296,7 @@ class LatencyTable:
                 raise ValueError(f"unknown latency role: {role!r}")
             _check_int("latency N", n)
             _check_int("latency M", m)
+            _check_number("latency seconds", seconds)
             if n < 1 or m < 0 or not 0 <= seconds < math.inf:
                 raise ValueError(f"invalid latency entry: {(role, n, m, seconds)}")
 

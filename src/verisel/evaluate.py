@@ -30,7 +30,6 @@ import dataclasses
 import hashlib
 import itertools
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -39,7 +38,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Problem, _check_int
+from .core import Problem, _check_int, _check_number
 from .costs import LatencyTable, ModelConfig, latency_lookup, pipeline_flops
 from .selection import (
     DEFAULT_GPV_ALPHA,
@@ -76,11 +75,11 @@ class EvalConfig:
     def __post_init__(self) -> None:
         for name in ("n", "draws", "seed"):
             _check_int(name, getattr(self, name))
-        for name in ("ci_level", "alpha"):  # alpha None: the method's default
-            value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not real and not (name == "alpha" and value is None):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+        _check_number("ci_level", self.ci_level)
+        if self.alpha is not None:  # None: the method's default
+            _check_number("alpha", self.alpha)
+        if type(self.replacement) is not bool:
+            raise ValueError(f"replacement must be a bool, got {self.replacement!r}")
         if self.n < 1:
             raise ValueError(f"invalid slate size: {self.n}")
         if self.draws < 1:

@@ -24,8 +24,9 @@ from .evaluate import BootstrapReport, BudgetPoint
 
 log = logging.getLogger("verisel")
 
-# TokenStats' fields, which records spell the same way.
+# TokenStats' fields, which records spell the same way, and their defaults.
 _TOKEN_FIELDS = tuple(f.name for f in fields(TokenStats))
+_TOKEN_DEFAULTS = tuple(f.default for f in fields(TokenStats))
 RECORD_FIELDS = (
     "problem_id", "candidate_id", "answer", "correct", "disc_score", "gen_scores",
 ) + _TOKEN_FIELDS
@@ -57,11 +58,24 @@ def _open_source(source: Source) -> tuple[IO[str], bool]:
     return source, False
 
 
+# The C scanner json.loads calls; json.loads itself scans from index 0 when
+# a line starts with neither whitespace nor a BOM.
+_scan = json.JSONDecoder().scan_once
+
+
 def _parse_line(lineno: int, line: str) -> dict:
+    """The line as json.loads reads it, with its message on an error."""
     try:
-        record = json.loads(line)
+        try:
+            record, end = _scan(line, 0)
+            if line[end:].strip(" \t\n\r"):  # json's own whitespace
+                raise StopIteration
+        except StopIteration:  # leading whitespace, a BOM, extra data
+            record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise IngestError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise IngestError(f"line {lineno}: invalid JSON (nesting too deep)") from None
     if not isinstance(record, dict):
         raise IngestError(f"line {lineno}: expected an object")
     for key in ("problem_id", "candidate_id"):
@@ -89,8 +103,7 @@ def _candidate_of(
             correct=record.get("correct"),
             disc_score=record.get("disc_score"),
             gen_scores=record.get("gen_scores"),
-            token_stats=TokenStats(
-                **{name: record[name] for name in _TOKEN_FIELDS if name in record}),
+            token_stats=TokenStats(*map(record.get, _TOKEN_FIELDS, _TOKEN_DEFAULTS)),
         )
     except (TypeError, ValueError) as exc:
         raise IngestError(f"line {lineno}: {exc}") from None
@@ -157,7 +170,7 @@ def record_of(problem_id: str, candidate: Candidate) -> dict:
     if candidate.disc_score is not None:
         record["disc_score"] = candidate.disc_score
     if candidate.gen_scores is not None:
-        record["gen_scores"] = list(candidate.gen_scores)
+        record["gen_scores"] = candidate.gen_scores
     for name in ("prompt_tokens", "output_tokens", "solution_tokens"):
         if getattr(st, name):
             record[name] = getattr(st, name)
@@ -167,12 +180,24 @@ def record_of(problem_id: str, candidate: Candidate) -> dict:
     return record
 
 
+# The C encoder json.dumps builds on every call, built once with its
+# defaults and its TypeError; no circular check (markers=None), since
+# record_of's records are acyclic.
+_encode = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+    None, ": ", ", ", False, False, True,
+)
+
+
 def write_records(problems: Iterable[Problem], stream: IO[str]) -> None:
-    """Emit problems in the ingestible line format, full float precision."""
+    """Emit problems in the ingestible line format, full float precision:
+    each record's line is json.dumps(record), one write per problem."""
     for problem in problems:
+        chunks: list[str] = []
         for candidate in problem.candidates:
-            record = record_of(problem.problem_id, candidate)
-            stream.write(json.dumps(record) + "\n")
+            chunks += _encode(record_of(problem.problem_id, candidate), 0)
+            chunks.append("\n")
+        stream.write("".join(chunks))
 
 
 def records_text(problems: Iterable[Problem]) -> str:

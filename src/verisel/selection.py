@@ -83,7 +83,7 @@ def candidate_gen_scores(
 def _transform_fn(transform: str):
     try:
         return SCORE_TRANSFORMS[transform]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: not hashable, so not a name
         raise ValueError(f"unknown score transform: {transform!r}") from None
 
 

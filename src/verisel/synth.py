@@ -23,12 +23,13 @@ what order they are materialized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import Candidate, Problem, TokenStats, _check_int
+from .core import Candidate, Problem, TokenStats, _check_int, _check_number
 
 # Beta parameters of the confidently-wrong tail's disc_score.
 _WRONG_TAIL_DIST = (20.0, 1.0)
@@ -62,14 +63,21 @@ class SynthSpec:
             raise ValueError(
                 "n_problems, pool_size, and answer_space must be positive"
             )
-        if not 0.0 <= self.p_correct <= 1.0:
-            raise ValueError(f"p_correct out of [0,1]: {self.p_correct}")
-        if not 0.0 <= self.wrong_tail <= 1.0:
-            raise ValueError(f"wrong_tail out of [0,1]: {self.wrong_tail}")
+        for name in ("p_correct", "wrong_tail"):
+            value = getattr(self, name)
+            _check_number(name, value)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} out of [0,1]: {value}")
         for name in ("correct_dist", "incorrect_dist"):
-            a, b = getattr(self, name)
-            if a <= 0 or b <= 0:
-                raise ValueError(f"{name} parameters must be positive: ({a}, {b})")
+            dist = getattr(self, name)
+            if not isinstance(dist, (tuple, list)) or len(dist) != 2:
+                raise ValueError(f"{name} must be a pair of numbers, got {dist!r}")
+            for value in dist:
+                _check_number(name, value)
+            a, b = dist
+            if not (0 < a < math.inf and 0 < b < math.inf):
+                raise ValueError(
+                    f"{name} parameters must be finite and positive: ({a}, {b})")
         if self.gen_verifications < 0:
             raise ValueError(
                 f"invalid verification count: {self.gen_verifications}"

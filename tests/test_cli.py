@@ -142,6 +142,17 @@ class TestEvaluate:
         assert code == 2
         assert "error: line 1: missing field 'candidate_id'" in err
 
+    def test_deep_nesting_fails_with_line(self, capsys, monkeypatch):
+        # once a raw RecursionError traceback from json.decoder, exit 1
+        code, _, err = run(
+            capsys,
+            ["evaluate", "--method", "sc", "-n", "1", "--draws", "5"],
+            stdin=jsonl({"problem_id": "p", "candidate_id": "c"}) + "[" * 200000,
+            monkeypatch=monkeypatch,
+        )
+        assert code == 2
+        assert "error: line 2: invalid JSON (nesting too deep)" in err
+
 
 class TestCurve:
     def test_flops_curve_csv(self, capsys, tmp_path):

@@ -400,6 +400,13 @@ class TestLatency:
         with pytest.raises(ValueError, match=re.escape(message)):
             LatencyTable(entries={key: 1.0})
 
+    @pytest.mark.parametrize("seconds", ["x", None, True])
+    def test_seconds_are_numbers(self, seconds):
+        # "x" and None once ended in a raw TypeError; True passed as 1 s
+        with pytest.raises(ValueError, match=re.escape(
+                f"latency seconds must be a number, got {seconds!r}")):
+            LatencyTable(entries={("generation", 1, 0): seconds})
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
     def test_non_finite_seconds_rejected(self, literal):
         # a NaN entry once priced a curve point at nan seconds

@@ -141,13 +141,22 @@ class TestEvalConfig:
         ("n", "3", "an int"), ("draws", None, "an int"),
         ("ci_level", "x", "a number"), ("ci_level", None, "a number"),
         ("alpha", "x", "a number"), ("alpha", True, "a number"),
+        ("replacement", "yes", "a bool"), ("replacement", 1, "a bool"),
     ])
     def test_types_checked_before_ranges(self, name, value, kind):
-        # all but alpha=True, which passed as 1, once failed a range check
-        # with a raw TypeError
+        # alpha=True once passed as 1, and a replacement that is not a bool
+        # drew with replacement when true; the rest once failed a range
+        # check with a raw TypeError
         with pytest.raises(ValueError, match=re.escape(
                 f"{name} must be {kind}, got {value!r}")):
             EvalConfig(**{"n": 1, name: value})
+
+    @pytest.mark.parametrize("transform", [["sigmoid"], None, 1])
+    def test_transform_is_a_known_name(self, transform):
+        # a list once ended in a raw TypeError: unhashable type: 'list'
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown score transform: {transform!r}")):
+            EvalConfig(n=1, transform=transform)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf])
     def test_non_finite_alpha(self, alpha):

@@ -1,5 +1,6 @@
 """Record ingestion, emission round-trips, and report rendering."""
 
+import contextlib
 import io
 import json
 import logging
@@ -145,6 +146,14 @@ class TestIngestErrors:
             IngestError, match="line 2: invalid token count: output_tokens=True"
         ):
             ingest_text(line() + "\n" + line(candidate_id="c2", output_tokens=True))
+
+    @pytest.mark.parametrize("head", ["", " "], ids=["scanner", "json.loads"])
+    @pytest.mark.parametrize("opener", ["[", '{"a": '])
+    def test_deep_nesting_names_line(self, head, opener):
+        # once a raw RecursionError from json.decoder
+        with pytest.raises(IngestError, match=re.escape(
+                "line 2: invalid JSON (nesting too deep)")):
+            ingest_text(line() + "\n" + head + opener * 200000)
 
     def test_invalid_json_names_line(self):
         with pytest.raises(IngestError, match="line 2: invalid JSON"):
@@ -325,24 +334,22 @@ BAD_LINES = (
     '{"a": 1} {"b": 2}', "[1, 2]", "null", '"text"', "NaN", "{}",
     '{"candidate_id": "z"}', "", "   ", "\t{",
 )
-RECORDS = st.lists(
-    st.tuples(
-        st.sampled_from(("record",) * (12 * len(BAD_LINES)) + BAD_LINES),
-        st.fixed_dictionaries(
-            {"problem_id": st.sampled_from(PROBLEM_IDS),
-             "candidate_id": st.sampled_from(CANDIDATE_IDS)},
-            optional={
-                "answer": st.sampled_from(ANSWERS),
-                "correct": st.sampled_from(LABELS),
-                "disc_score": st.sampled_from(DISC_SCORES),
-                "gen_scores": st.sampled_from(GEN_SCORES),
-                "latency_ms": st.just(5),
-                **{name: st.sampled_from(TOKEN_VALUES) for name in TOKEN_FIELDS[:3]},
-            },
-        ),
+RECORD = st.tuples(
+    st.sampled_from(("record",) * (12 * len(BAD_LINES)) + BAD_LINES),
+    st.fixed_dictionaries(
+        {"problem_id": st.sampled_from(PROBLEM_IDS),
+         "candidate_id": st.sampled_from(CANDIDATE_IDS)},
+        optional={
+            "answer": st.sampled_from(ANSWERS),
+            "correct": st.sampled_from(LABELS),
+            "disc_score": st.sampled_from(DISC_SCORES),
+            "gen_scores": st.sampled_from(GEN_SCORES),
+            "latency_ms": st.just(5),
+            **{name: st.sampled_from(TOKEN_VALUES) for name in TOKEN_FIELDS[:3]},
+        },
     ),
-    min_size=1, max_size=8,
 )
+RECORDS = st.lists(RECORD, min_size=1, max_size=8)
 
 
 def record_line(i, drawn):
@@ -409,6 +416,59 @@ class TestAnswerKeyCache:
         assert repr(got) == repr(reference_ingest(text, canon))
 
 
+# What may sit around a line's JSON: json's own whitespace, whitespace
+# that json does not skip (\x0b, \xa0), and, in front only, a BOM.
+WRAPS = ("", " ", "\t", "\r", "\n", " \t\r", "\x0b", "\xa0")
+
+
+def reference_parse(lineno, text_line):
+    """records._parse_line by json.loads: the record, or the message."""
+    try:
+        record = json.loads(text_line)
+    except json.JSONDecodeError as exc:
+        return f"line {lineno}: invalid JSON ({exc.msg})"
+    if not isinstance(record, dict):
+        return f"line {lineno}: expected an object"
+    for key in ("problem_id", "candidate_id"):
+        if not isinstance(record.get(key), str) or record[key] == "":
+            return f"line {lineno}: missing field {key!r}"
+    return record
+
+
+class TestParseLine:
+    """Each line reads as json.loads reads it, though a line that starts
+    with JSON is scanned by json's C scanner directly."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=600)
+    @given(st.lists(RECORD, min_size=1, max_size=2),
+           st.sampled_from((0,) * 6 + (1, 2, 7, 30)),
+           st.sampled_from(WRAPS * 2 + ("\ufeff",)), st.sampled_from(WRAPS))
+    def test_same_as_json_loads(self, drawn, cut, head, tail):
+        """Records (NaN scores among them) and bad lines, one or two values
+        on a line, whole or cut short, with whitespace or a BOM around
+        them: the same record, or the same message."""
+        body = " ".join(record_line(i, d) for i, d in enumerate(drawn))
+        text_line = head + body[:len(body) - cut] + tail
+        try:
+            got = records._parse_line(3, text_line)
+        except IngestError as exc:
+            got = str(exc)
+        assert repr(got) == repr(reference_parse(3, text_line))
+
+    def test_json_loads_reads_only_what_the_scanner_leaves(self, monkeypatch):
+        loaded = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda s: loaded.append(s) or loads(s))
+        plain = line()
+        for text_line in (plain, plain + " \t\r\n", plain + "\n"):
+            assert records._parse_line(1, text_line) == loads(plain)
+        assert loaded == []
+        for text_line in (" " + plain, "\ufeff" + plain, plain + "\xa0", plain + " 1"):
+            with contextlib.suppress(IngestError):
+                records._parse_line(1, text_line)
+        assert len(loaded) == 4
+
+
 class TestRoundTrip:
     def test_synthetic_pools_survive(self):
         problems = generate_pool(
@@ -447,6 +507,32 @@ class TestRoundTrip:
         write_records(problems, buf)
         assert buf.getvalue() == records_text(problems)
         assert len(buf.getvalue().splitlines()) == 6
+
+    def test_each_line_is_json_dumps(self):
+        """write_records writes json.dumps(record) and a newline per record:
+        text that json escapes, int-valued scores, counts past 64 bits and
+        absent optional fields."""
+        odd = 'é "q" \\ \x00\x1f\u2028 ☃ 𝄞'
+        big = TokenStats(prompt_tokens=2**70, output_tokens=2**70,
+                         solution_tokens=3, reasoning_budget=0,
+                         verification_out_tokens=2**70)
+        problems = [
+            Problem(problem_id="p" + odd, candidates=(
+                Candidate(candidate_id="c" + odd, answer_raw=odd,
+                          answer_key=canonicalize_answer(odd), correct=True,
+                          disc_score=2, gen_scores=(1, -0.0, 1e308),
+                          token_stats=big),
+                Candidate(candidate_id="d", correct=False, disc_score=-1.5,
+                          gen_scores=(0.5, 0.25, 3)),
+            )),
+            Problem(problem_id="q", candidates=(Candidate(candidate_id="e"),)),
+        ]
+        text = records_text(problems)
+        assert text == "".join(
+            json.dumps(records.record_of(p.problem_id, c)) + "\n"
+            for p in problems for c in p.candidates)
+        assert '"disc_score": 2.0' in text and "1180591620717411303424" in text
+        assert ingest_text(text) == problems
 
     def test_defaults_are_omitted(self):
         problem = Problem(

@@ -1,5 +1,6 @@
 """Synthetic pool generator: determinism, distributions, method ordering."""
 
+import math
 import re
 
 import numpy as np
@@ -59,6 +60,23 @@ class TestSpecValidation:
         for share in (-0.1, 1.5):
             with pytest.raises(ValueError, match="wrong_tail"):
                 spec(wrong_tail=share)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("p_correct", "x", "p_correct must be a number, got 'x'"),
+        ("p_correct", True, "p_correct must be a number, got True"),
+        ("wrong_tail", None, "wrong_tail must be a number, got None"),
+        ("correct_dist", (1,), "correct_dist must be a pair of numbers, got (1,)"),
+        ("incorrect_dist", 2.0, "incorrect_dist must be a pair of numbers, got 2.0"),
+        ("correct_dist", (1.0, "2"), "correct_dist must be a number, got '2'"),
+        ("correct_dist", (math.nan, 2.0), "must be finite and positive: (nan, 2.0)"),
+        ("incorrect_dist", (2.0, math.inf), "must be finite and positive: (2.0, inf)"),
+    ])
+    def test_types_checked_before_ranges(self, name, value, message):
+        # p_correct=True once passed as 1, and a NaN or infinite Beta
+        # parameter failed in generate_pool as a disc_score error; the rest
+        # ended in a raw TypeError or in "not enough values to unpack"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            spec(**{name: value})
 
 
 class TestDeterminism:

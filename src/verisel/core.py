@@ -166,13 +166,28 @@ class Candidate:
 
 
 class AnswerColumns(NamedTuple):
-    """A pool's answers as columns: each candidate's answer code, codes
-    numbering cluster keys in ascending order; the code of NO_ANSWER_KEY,
-    or -1; the label of each code, or None for an unlabeled pool."""
+    """A pool's answers as columns: each candidate's answer code (codes
+    number the cluster keys in ascending order), the code of NO_ANSWER_KEY
+    or -1, each code's label (None if unlabeled), and each code's key."""
 
     codes: np.ndarray
     none_code: int
     correct: Optional[np.ndarray]
+    keys: tuple[str, ...]
+
+
+def _answer_columns(candidates: Sequence[Candidate]) -> AnswerColumns:
+    """The candidates' answers as columns (a pool's, or a slate's)."""
+    graded = {c.cluster_key: c.correct for c in candidates}  # one per key
+    keys = tuple(sorted(graded))
+    code_of = {key: i for i, key in enumerate(keys)}
+    return AnswerColumns(
+        np.array([code_of[c.cluster_key] for c in candidates], np.int32),
+        code_of.get(NO_ANSWER_KEY, -1),
+        None if candidates[0].correct is None
+        else np.array([graded[key] for key in keys], bool),
+        keys,
+    )
 
 
 @dataclass(frozen=True)
@@ -241,14 +256,7 @@ class Problem:
     @cached_property
     def answer_columns(self) -> AnswerColumns:
         """Built on first use, then kept; not a field, so repr and == ignore it."""
-        graded = {c.cluster_key: c.correct for c in self.candidates}  # one per key
-        keys = sorted(graded)
-        code_of = {key: i for i, key in enumerate(keys)}
-        return AnswerColumns(
-            np.array([code_of[c.cluster_key] for c in self.candidates], np.int32),
-            code_of.get(NO_ANSWER_KEY, -1),
-            np.array([graded[key] for key in keys], bool) if self.labeled else None,
-        )
+        return _answer_columns(self.candidates)
 
     @cached_property
     def _memo(self) -> dict:
@@ -356,13 +364,8 @@ def cluster_by_answer(problem: Problem) -> list[AnswerCluster]:
     Clusters are returned in a deterministic order (n_a descending,
     answer_key ascending); selection reports its diagnostics in this order.
     """
-    return _clusters_of(problem.candidates)
-
-
-def _clusters_of(candidates: Sequence[Candidate]) -> list[AnswerCluster]:
-    """cluster_by_answer's body, for candidates not wrapped in a Problem."""
     members: dict[str, list[Candidate]] = {}
-    for cand in candidates:
+    for cand in problem.candidates:
         members.setdefault(cand.cluster_key, []).append(cand)
     clusters = [AnswerCluster(key, tuple(cands)) for key, cands in members.items()]
     clusters.sort(key=lambda cl: (-cl.n_a, cl.answer_key))

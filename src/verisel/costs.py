@@ -16,13 +16,12 @@ an interpolation.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from operator import mul
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
-from .core import TokenStats, _check_int, _check_number, _check_token_count
+from .core import TokenStats, _check_int, _check_number, _check_token_count, _floats
 
 PIPELINE_MODES = ("sc", "disc", "gen")
 
@@ -297,7 +296,8 @@ class LatencyTable:
             _check_int("latency N", n)
             _check_int("latency M", m)
             _check_number("latency seconds", seconds)
-            if n < 1 or m < 0 or not 0 <= seconds < math.inf:
+            # _floats refuses NaN, an infinity and an int past float range
+            if n < 1 or m < 0 or _floats((seconds,)) is None or seconds < 0:
                 raise ValueError(f"invalid latency entry: {(role, n, m, seconds)}")
 
     def lookup(self, role: str, n: int, m: int = 0) -> float:
@@ -311,18 +311,34 @@ class LatencyTable:
         """Parse {"generation": {N: s}, "disc_verify": {N: s},
         "gen_verify": {M: {N: s}}}."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError(f"latency table: top level must be a JSON object, got {doc!r}")
         entries: dict[tuple[str, int, int], float] = {}
         for role in (GENERATION, DISC_VERIFY):
-            for n, seconds in doc.get(role, {}).items():
-                entries[(role, int(n), 0)] = float(seconds)
-        for m, per_n in doc.get(GEN_VERIFY, {}).items():
-            for n, seconds in per_n.items():
-                entries[(GEN_VERIFY, int(n), int(m))] = float(seconds)
+            for n, seconds in _int_keyed(role, doc.get(role, {})).items():
+                entries[(role, n, 0)] = seconds
+        for m, per_n in _int_keyed(GEN_VERIFY, doc.get(GEN_VERIFY, {})).items():
+            for n, seconds in _int_keyed(f"{GEN_VERIFY} M={m}", per_n).items():
+                entries[(GEN_VERIFY, n, m)] = seconds
         return cls(entries=entries)
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "LatencyTable":
         return cls.from_json(Path(path).read_text())
+
+
+def _int_keyed(where: str, level) -> dict:
+    """A level of a latency table file: a JSON object, keyed by integers."""
+    if not isinstance(level, dict):
+        raise ValueError(f"latency table: {where} must be a JSON object, got {level!r}")
+    out = {}
+    for key, value in level.items():
+        try:
+            out[int(key)] = value
+        except ValueError:
+            raise ValueError(
+                f"latency table: {where} key must be an integer, got {key!r}") from None
+    return out
 
 
 def latency_lookup(table: LatencyTable, mode: str, n: int, m: int = 0) -> float:

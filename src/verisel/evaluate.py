@@ -15,13 +15,10 @@ where Lemire's method rejects a word go through slate_rng itself. Rows of
 problems with equal pool size share each chunk of draws, so a row never
 depends on which problems ran with it.
 
-What a rule decides on a slate comes from selection.py: the same
-per-candidate scores, objectives, cluster tie order and BoN order that
-select_answer applies to a whole pool. Only the aggregation is done here,
-for a chunk of slates at once: one bincount of counts and one of score
-sums over row-offset answer codes, adding each slate's scores in slate
-order. The test suite holds the two paths to exact agreement, slate by
-slate.
+What a rule decides on a slate comes from selection.py: its kernel
+(_tally) runs here on a chunk of slates at once, one row each, as
+select_answer runs it on a whole pool; BoN reads its order as ranks. Tests
+hold each slate's outcome to select_answer and to an independent oracle.
 """
 
 from __future__ import annotations
@@ -48,6 +45,7 @@ from .selection import (
     _gen_means,
     _objective,
     _resolve_m,
+    _tally,
     _transform_fn,
     candidate_gen_scores,
     candidate_scores,
@@ -327,8 +325,7 @@ def _candidate_values(problem: Problem, cfg: EvalConfig) -> Optional[np.ndarray]
         gen = _kept(problem, ("gen", transform),
                     lambda: candidate_gen_scores(cands, transform))
         m = _resolve_m(gen, cfg.m_verifications)
-        return _kept(problem, ("gpv", transform, m),
-                     lambda: np.array(list(_gen_means(gen, m).values())))
+        return _kept(problem, ("gpv", transform, m), lambda: _gen_means(gen, m))
     return _kept(problem, ("disc", transform),
                  lambda: np.array(list(candidate_scores(cands, transform).values())))
 
@@ -338,8 +335,7 @@ class _PoolStack:
     one batch: each problem's answer_columns, and its _candidate_values
     under cfg.
 
-    A slate only counts and sums its clusters; the objective and the tie
-    order are selection.py's.
+    A slate is one row of selection._tally.
     """
 
     def __init__(self, problems: Sequence[Problem], cfg: EvalConfig):
@@ -347,13 +343,12 @@ class _PoolStack:
         columns = [p.answer_columns for p in problems]
         values = [_candidate_values(p, cfg) for p in problems]
         self.k, self.n = len(problems[0]), cfg.n
-        width = max(len(c.correct) for c in columns)
+        width = max(len(c.keys) for c in columns)
         self.correct = np.zeros((len(columns), width))
         for row, c in zip(self.correct, columns):
             row[: len(c.correct)] = c.correct
         self.codes = np.stack([c.codes for c in columns])
-        self.selectable = np.arange(width) != np.array(
-            [c.none_code for c in columns])[:, None]
+        self.none_code = np.array([c.none_code for c in columns])
         self.rank = self.by_rank = self.weights = None
         if cfg.method == "bon":
             self.rank = np.stack(values)
@@ -377,26 +372,10 @@ class _PoolStack:
         if self.rank is not None:
             best = self.rank.ravel()[at].min(axis=1)
             return self.by_rank[pool, best].astype(float)
-        rows, width = len(pool), self.correct.shape[1]
-        cells = np.add(self.codes.ravel()[at], (np.arange(rows) * width)[:, None],
-                       dtype=np.int64).ravel()
-        # bincount adds in index order, so each row sums in slate order
-        counts = np.bincount(cells, minlength=rows * width).reshape(rows, width)
-        totals = counts if self.weights is None else np.bincount(
-            cells, self.weights.ravel()[at].ravel(), rows * width
-        ).reshape(rows, width)
-        live = (counts > 0) & self.selectable[pool]
-        value = np.full((rows, width), -np.inf)
-        # alpha * psi_a is finite, so a total near the largest double can
-        # only overflow to -inf, as the scalar objective rounds it
-        with np.errstate(over="ignore"):
-            value[live] = self.objective(totals[live], counts[live])[1]
-        # selection._order's minimum: objective, then support, descending;
-        # then code
-        tied = live & (value == value.max(axis=1, keepdims=True))
-        tied &= counts == np.where(tied, counts, -1).max(axis=1, keepdims=True)
-        pick = tied.argmax(axis=1)
-        return np.where(tied.any(axis=1), self.correct[pool, pick], 0.0)
+        values = None if self.weights is None else self.weights.ravel()[at]
+        *_, pick = _tally(self.codes.ravel()[at], values, self.correct.shape[1],
+                          self.none_code[pool], self.objective)
+        return np.where(pick >= 0, self.correct[pool, pick], 0.0)
 
     def sampled(self) -> np.ndarray:
         """Per-draw accuracies, shape (pools, cfg.draws)."""

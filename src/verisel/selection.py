@@ -13,10 +13,12 @@ All rules are pure functions. Ties break by the deterministic cluster order
 (support descending, key ascending; lowest candidate_id for BoN) unless a
 seeded generator is passed, in which case a tied winner is drawn uniformly.
 
-This module is the only statement of what a rule decides: the objectives
-(_objective), the per-candidate scores, the cluster tie order (_order) and
-BoN's candidate order (_bon_ranking). The slate evaluator in evaluate.py
-calls these too and only aggregates each slate itself.
+This module is the only statement of what a rule decides: objectives
+(_objective), per-candidate scores, BoN's order (_bon_ranking) and one
+kernel (_tally) that aggregates clusters and picks by objective, then tie
+order. select_answer runs it on Problem.answer_columns, the select_*
+functions are thin wrappers that lay their dicts out as such columns, and
+evaluate.py runs it on batches of slates.
 """
 
 from __future__ import annotations
@@ -30,13 +32,14 @@ import numpy as np
 from .core import (
     NO_ANSWER_KEY,
     AnswerCluster,
+    AnswerColumns,
     Candidate,
     EmptyPoolError,
     Problem,
+    _answer_columns,
     _check_int,
-    _clusters_of,
+    _floats,
     _sum_in_order,
-    cluster_by_answer,
 )
 
 DEFAULT_PV_ALPHA = 0.5
@@ -119,16 +122,6 @@ class SelectionResult:
     m: Optional[int] = None
 
 
-def _order(cluster: tuple) -> tuple:
-    """Sort key of the cluster tie order; the smallest key wins.
-
-    cluster starts (objective, n_a, answer_key), and the order is objective
-    descending, then support descending, then answer key ascending (any
-    stand-in for the key that sorts the same will do).
-    """
-    return (-cluster[0], -cluster[1], cluster[2])
-
-
 def _objective(method: str, n_total: int = 1, alpha: float = 0.0, m: int = 1):
     """What a cluster rule maximizes, as f(total, n_a) -> (penalty, objective).
 
@@ -174,14 +167,15 @@ def _resolve_m(gen_scores: Mapping[str, Sequence[float]],
 
 def _gen_means(
     gen_scores: Mapping[str, Sequence[float]], m: int
-) -> dict[str, float]:
-    """Each candidate's gpv score r~_i: the mean of its first m pass scores.
-    A mean that overflows, the one way a cluster total could be NaN, fails."""
-    means = {cid: _sum_in_order(s[:m]) / m for cid, s in gen_scores.items()}
-    for cid, mean in means.items():
+) -> np.ndarray:
+    """Each candidate's gpv score r~_i, the mean of its first m pass scores,
+    in the map's order. A mean that overflows, the one way a cluster total
+    could be NaN, fails."""
+    means = [_sum_in_order(s[:m]) / m for s in gen_scores.values()]
+    for cid, mean in zip(gen_scores, means):
         if not math.isfinite(mean):
             raise ValueError(f"candidate {cid!r}: gen_scores mean overflows to {mean}")
-    return means
+    return np.array(means)
 
 
 def _bon_ranking(
@@ -197,65 +191,123 @@ def _bon_ranking(
     )
 
 
-def _select_clusters(
-    method: str,
-    clusters: Sequence[AnswerCluster],
-    totals: Sequence[Optional[float]],
-    objective,
-    rng: Optional[np.random.Generator],
-    **fields,
-) -> SelectionResult:
-    """Score every cluster with objective; the winner is the first
-    selectable cluster in tie order, or with rng a seeded draw among the
-    clusters tied with it on objective."""
-    diagnostics, ranked = [], []
-    for cl, total in zip(clusters, totals):
-        penalty = value = None
-        if cl.selectable:
-            penalty, value = objective(total, cl.n_a)
-        diag = ClusterDiagnostic(
-            answer_key=cl.answer_key,
-            n_a=cl.n_a,
-            sum_score=total,
-            penalty=penalty,
-            objective=value,
+def _tally(codes: np.ndarray, values: Optional[np.ndarray], width: int,
+           none_codes: np.ndarray, objective) -> tuple:
+    """A cluster rule on each row r of a batch: answer codes codes[r] (each
+    below width), per-candidate values[r] (None: totals are counts) and the
+    no-answer code none_codes[r], or -1. Returns (counts, totals, penalty,
+    objective, pick): the first four by row and code, totals added in row
+    order, penalty (None for sc, wsc) and objective NaN and -inf off the
+    live codes, those present and selectable; pick, each row's winner, or
+    -1: objective descending, then support descending, then code ascending.
+    """
+    rows = len(codes)
+    cells = np.add(codes, (np.arange(rows) * width)[:, None], dtype=np.int64).ravel()
+    counts = np.bincount(cells, minlength=rows * width).reshape(rows, width)
+    totals = counts if values is None else np.bincount(
+        cells, values.ravel(), rows * width
+    ).reshape(rows, width)
+    live = (counts > 0) & (np.arange(width) != none_codes[:, None])
+    # A count of 1 stands in for 0 off the live cells, which are dropped. On
+    # live ones alpha * psi_a is finite, so a total near the largest double
+    # can only round its objective to -inf, never to NaN.
+    with np.errstate(over="ignore"):
+        psi, value = objective(totals, np.maximum(counts, 1))
+    value = np.where(live, value, -np.inf)
+    penalty = None if psi is None else np.where(live, psi, np.nan)
+    tied = live & (value == value.max(axis=1, keepdims=True))
+    tied &= counts == np.where(tied, counts, -1).max(axis=1, keepdims=True)
+    pick = np.where(tied.any(axis=1), tied.argmax(axis=1), -1)
+    return counts, totals, penalty, value, pick
+
+
+def _run(method: str, candidates: Sequence[Candidate], columns: AnswerColumns,
+         scores: Optional[Mapping], alpha: Optional[float] = None,
+         m_verifications: Optional[int] = None,
+         rng: Optional[np.random.Generator] = None) -> SelectionResult:
+    """method on one pool laid out as columns; scores maps each candidate,
+    in pool order, to its valid score (gpv: pass scores). A cluster rule is
+    _tally on one row, and rng draws among clusters tied on objective, in
+    cluster order (support descending, key ascending), the diagnostics'
+    order. BoN's cluster objective is the first highest score."""
+    m = winner = None
+    if method == "bon":
+        ranked = _bon_ranking(candidates, scores)
+        if not ranked:
+            raise EmptyPoolError("no selectable answers in pool")
+        tied = [c for c in ranked
+                if scores[c.candidate_id] == scores[ranked[0].candidate_id]]
+        winner = tied[0] if rng is None else tied[int(rng.integers(len(tied)))]
+        column, value, penalty = np.array(list(scores.values())), {}, None
+        for code, score in zip(columns.codes.tolist(), column.tolist()):
+            value[code] = max(value.get(code, score), score)
+        counts, totals = (np.bincount(columns.codes, w, len(columns.keys)).tolist()
+                          for w in (None, column))
+    else:
+        if method == "sc":
+            raw = [c.disc_score for c in candidates]
+            column = None if None in raw else np.array(raw)
+        elif method == "gpv":
+            m = _resolve_m(scores, m_verifications)
+            column = _gen_means(scores, m)
+        else:
+            column = np.array(list(scores.values()))
+        tally = _tally(columns.codes[None], None if column is None else column[None],
+                       len(columns.keys), np.array([columns.none_code]),
+                       _objective(method, len(columns.codes), alpha, m or 1))
+        counts, totals, penalty, value, pick = (
+            None if a is None else a[0].tolist() for a in tally)
+        if pick < 0:
+            raise EmptyPoolError("no selectable answers in pool")
+    none = columns.none_code
+    diagnostics = tuple(
+        ClusterDiagnostic(
+            answer_key=columns.keys[c],
+            n_a=counts[c],
+            sum_score=None if column is None else totals[c],
+            penalty=None if penalty is None or c == none else penalty[c],
+            objective=None if c == none else value[c],
         )
-        diagnostics.append(diag)
-        if value is not None:
-            ranked.append((value, cl.n_a, cl.answer_key, diag))
-    if not ranked:
-        raise EmptyPoolError("no selectable answers in pool")
-    winner = min(ranked, key=_order)
-    if rng is not None:
-        tied = sorted((c for c in ranked if c[0] == winner[0]), key=_order)
-        winner = tied[int(rng.integers(len(tied)))] if len(tied) > 1 else winner
-    return SelectionResult(
-        method=method, chosen_answer=winner[3].answer_key,
-        cluster_diagnostics=tuple(diagnostics), **fields,
+        for c in sorted(range(len(counts)), key=lambda c: -counts[c])
     )
+    if winner is not None:
+        return SelectionResult(method, winner.cluster_key, winner.candidate_id,
+                               diagnostics)
+    chosen = columns.keys[pick]
+    if rng is not None:
+        tied = [d.answer_key for d in diagnostics if d.objective == value[pick]]
+        if len(tied) > 1:
+            chosen = tied[int(rng.integers(len(tied)))]
+    return SelectionResult(method, chosen, None, diagnostics, alpha, m)
 
 
-def _cluster_sums(
-    clusters: Sequence[AnswerCluster],
-    scores: Optional[Mapping[str, float]],
-) -> list[float]:
-    """Summed member score per cluster, from a score map or stored aggregates."""
+def _checked(candidates: Sequence[Candidate], scores: Optional[Mapping],
+             rows: bool = False) -> dict:
+    """Each candidate's entry in scores (None: raw disc_scores) as float(s),
+    checked by core._floats, one score or, with rows, a row of them; a
+    ValueError names the first bad one."""
+    if scores is None:
+        scores = candidate_scores(candidates, "raw")
     try:
-        out = [
-            cl.sum_score if scores is None
-            else _sum_in_order(map(scores.__getitem__, cl.member_ids))
-            for cl in clusters
-        ]
-    except KeyError as exc:
-        raise ValueError("scores required") from exc
-    if None in out:
-        raise ValueError("scores required")
-    return out
+        entries = [scores[c.candidate_id] for c in candidates]
+    except KeyError:
+        raise ValueError("scores required") from None
+    checked = list(map(_floats, entries)) if rows else _floats(entries)
+    if checked is None or None in checked:
+        cand, entry = next((c, e) for c, e in zip(candidates, entries)
+                           if _floats(e if rows else (e,)) is None)
+        what = "gen_scores must be finite numbers" if rows else "score must be a finite number"
+        raise ValueError(f"candidate {cand.candidate_id!r}: {what}, got {entry!r}")
+    return dict(zip((c.candidate_id for c in candidates), checked))
 
 
-def _require_clusters(clusters: Sequence[AnswerCluster]) -> None:
+def _laid_out(clusters: Sequence[AnswerCluster]
+              ) -> tuple[list[Candidate], AnswerColumns]:
+    """The clusters' members, cluster by cluster, and their answer columns."""
     if not clusters:
         raise EmptyPoolError("empty pool")
+    members = [c for cl in clusters for c in cl.members]
+    return members, _answer_columns(members)
 
 
 def select_sc(
@@ -263,10 +315,7 @@ def select_sc(
     rng: Optional[np.random.Generator] = None,
 ) -> SelectionResult:
     """Self-consistency: plurality vote over answer clusters."""
-    _require_clusters(clusters)
-    return _select_clusters(
-        "sc", clusters, [cl.sum_score for cl in clusters], _objective("sc"), rng
-    )
+    return _run("sc", *_laid_out(clusters), None, rng=rng)
 
 
 def select_bon(
@@ -281,35 +330,8 @@ def select_bon(
     """
     if not candidates:
         raise EmptyPoolError("empty pool")
-    if scores is None:
-        scores = candidate_scores(candidates, transform="raw")
-    elif any(c.candidate_id not in scores for c in candidates):
-        raise ValueError("scores required")
-
-    ranked = _bon_ranking(candidates, scores)
-    if not ranked:
-        raise EmptyPoolError("no selectable answers in pool")
-    top_score = scores[ranked[0].candidate_id]
-    tied = [c for c in ranked if scores[c.candidate_id] == top_score]
-    winner = tied[0] if rng is None else tied[int(rng.integers(len(tied)))]
-
-    clusters = _clusters_of(candidates)
-    diagnostics = tuple(
-        ClusterDiagnostic(
-            answer_key=cl.answer_key,
-            n_a=cl.n_a,
-            sum_score=total,
-            objective=max(map(scores.__getitem__, cl.member_ids))
-            if cl.selectable else None,
-        )
-        for cl, total in zip(clusters, _cluster_sums(clusters, scores))
-    )
-    return SelectionResult(
-        method="bon",
-        chosen_answer=winner.cluster_key,
-        chosen_candidate=winner.candidate_id,
-        cluster_diagnostics=diagnostics,
-    )
+    return _run("bon", candidates, _answer_columns(candidates),
+                _checked(candidates, scores), rng=rng)
 
 
 def select_wsc(
@@ -318,10 +340,8 @@ def select_wsc(
     rng: Optional[np.random.Generator] = None,
 ) -> SelectionResult:
     """Weighted self-consistency: argmax of summed cluster score."""
-    _require_clusters(clusters)
-    return _select_clusters(
-        "wsc", clusters, _cluster_sums(clusters, scores), _objective("wsc"), rng
-    )
+    members, columns = _laid_out(clusters)
+    return _run("wsc", members, columns, _checked(members, scores), rng=rng)
 
 
 def select_pv(
@@ -334,12 +354,8 @@ def select_pv(
 
     Objective: mean_score(a) - alpha * ln(N) / (n_a + 1), N = pool size.
     """
-    _require_clusters(clusters)
-    objective = _objective("pv", sum(cl.n_a for cl in clusters), alpha)
-    return _select_clusters(
-        "pv", clusters, _cluster_sums(clusters, scores), objective, rng,
-        alpha=alpha,
-    )
+    members, columns = _laid_out(clusters)
+    return _run("pv", members, columns, _checked(members, scores), alpha, rng=rng)
 
 
 def select_gpv(
@@ -356,13 +372,9 @@ def select_gpv(
     m_verifications scores only the first m_verifications are used, so one
     dataset can serve a sweep over M.
     """
-    _require_clusters(clusters)
-    m = _resolve_m(gen_scores, m_verifications)
-    objective = _objective("gpv", sum(cl.n_a for cl in clusters), alpha, m)
-    totals = _cluster_sums(clusters, _gen_means(gen_scores, m))
-    return _select_clusters(
-        "gpv", clusters, totals, objective, rng, alpha=alpha, m=m
-    )
+    members, columns = _laid_out(clusters)
+    return _run("gpv", members, columns, _checked(members, gen_scores, rows=True),
+                alpha, m_verifications, rng)
 
 
 def select_answer(
@@ -380,24 +392,12 @@ def select_answer(
     """
     if method not in METHODS:
         raise ValueError(f"unknown selection method: {method!r}")
-    if method == "sc":
-        return select_sc(cluster_by_answer(problem), rng=rng)
-    if method == "bon":
-        return select_bon(problem.candidates, rng=rng)
-
-    clusters = cluster_by_answer(problem)
-    if method == "wsc":
-        scores = candidate_scores(problem.candidates, transform)
-        return select_wsc(clusters, scores, rng=rng)
-    if method == "pv":
-        scores = candidate_scores(problem.candidates, transform)
-        return select_pv(
-            clusters, scores,
-            alpha=DEFAULT_PV_ALPHA if alpha is None else alpha, rng=rng,
-        )
-    gen = candidate_gen_scores(problem.candidates, transform)
-    return select_gpv(
-        clusters, gen,
-        alpha=DEFAULT_GPV_ALPHA if alpha is None else alpha,
-        m_verifications=m_verifications, rng=rng,
-    )
+    cands, scores = problem.candidates, None
+    if method == "gpv":
+        scores = candidate_gen_scores(cands, transform)
+        alpha = DEFAULT_GPV_ALPHA if alpha is None else alpha
+    elif method != "sc":
+        scores = candidate_scores(cands, "raw" if method == "bon" else transform)
+        alpha = DEFAULT_PV_ALPHA if alpha is None else alpha
+    return _run(method, cands, problem.answer_columns, scores,
+                alpha if method in ("pv", "gpv") else None, m_verifications, rng)

@@ -90,7 +90,7 @@ def oracle_gpv(pool, alpha, m):
     counts = {}
     sums = {}
     for _, a, scores in pool:
-        r_tilde = sum(scores[:m]) / m
+        r_tilde = _in_order(scores[:m]) / m
         counts[a] = counts.get(a, 0) + 1
         sums[a] = sums.get(a, 0.0) + r_tilde
 
@@ -99,6 +99,50 @@ def oracle_gpv(pool, alpha, m):
         return mean - alpha * (math.log(n_total * m) / (counts[a] * m + 1))
 
     return _argmax_in_order(cluster_order(answers), objective)
+
+
+def _in_order(values):
+    """Left-to-right float sum (Python 3.12's sum() compensates)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def oracle_diagnostics(pool, rule, alpha=None, m=None):
+    """(key, n, sum, penalty, objective) per cluster, in cluster order, as
+    a rule reports them on raw scores. Payloads are disc scores (None on an
+    unscored pool, whose sums are then None) or, for gpv, pass-score lists.
+    Sums add each cluster's scores (gpv: pass means) in pool order; bon's
+    objective is a cluster's highest score, the others' what they maximize;
+    the no-answer cluster has no penalty or objective."""
+    answers = [a for _, a, _ in pool]
+    counts, sums, best = {}, {}, {}
+    for _, a, payload in pool:
+        counts[a] = counts.get(a, 0) + 1
+        if payload is None:
+            continue
+        score = _in_order(payload[:m]) / m if rule == "gpv" else payload
+        sums[a] = sums.get(a, 0.0) + score
+        if a not in best or score > best[a]:
+            best[a] = score
+    rows = []
+    for a in cluster_order(answers):
+        n, total = counts[a], sums.get(a)
+        penalty = objective = None
+        if a != NONE_KEY:
+            if rule == "sc":
+                objective = float(n)
+            elif rule == "bon":
+                objective = best[a]
+            elif rule == "wsc":
+                objective = total
+            else:
+                passes = m if rule == "gpv" else 1
+                penalty = math.log(len(pool) * passes) / (n * passes + 1)
+                objective = total / n - alpha * penalty
+        rows.append((a, n, total, penalty, objective))
+    return rows
 
 
 def loop_generation_flops(d, m, L, V, t_in, t_out):

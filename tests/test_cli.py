@@ -200,6 +200,22 @@ class TestCurve:
         assert code == 2 and out == ""
         assert "error: invalid latency entry: ('generation', 1, 0, nan)" in err
 
+    @pytest.mark.parametrize("doc, message", [
+        ("[1]", "top level must be a JSON object, got [1]"),
+        ('{"generation": {"x": 1}}', "generation key must be an integer, got 'x'"),
+    ])
+    def test_malformed_latency_table_fails(self, capsys, tmp_path, doc, message):
+        # these once ended in a raw AttributeError and in int()'s message
+        data = simulate(capsys, tmp_path / "pools.jsonl")
+        table = tmp_path / "latency.json"
+        table.write_text(doc)
+        code, out, err = run(capsys, [
+            "curve", "-i", data, "--methods", "sc", "--n-grid", "1,2",
+            "--budget", "latency", "--latency-table", str(table),
+        ])
+        assert code == 2 and out == ""
+        assert f"error: latency table: {message}" in err
+
     def test_failed_point_reports_alike_at_any_jobs(self, capsys, tmp_path):
         data = simulate(capsys, tmp_path / "pools.jsonl")
         results = [

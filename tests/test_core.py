@@ -284,13 +284,16 @@ class TestProblem:
         ))
 
     def test_answer_columns(self):
-        codes, none_code, correct = self.labeled(["b", "", "a", "b"], "a").answer_columns
+        codes, none_code, correct, keys = self.labeled(
+            ["b", "", "a", "b"], "a").answer_columns
         # codes number the keys in ascending order: "<none>", "a", "b"
         assert codes.dtype == np.int32 and codes.tolist() == [2, 0, 1, 2]
         assert none_code == 0
         assert correct.tolist() == [False, True, False]
-        codes, none_code, correct = make_problem(["b", "a"]).answer_columns
+        assert keys == ("<none>", "a", "b")
+        codes, none_code, correct, keys = make_problem(["b", "a"]).answer_columns
         assert codes.tolist() == [1, 0] and none_code == -1 and correct is None
+        assert keys == ("a", "b")
 
     def test_answer_columns_built_once_and_unseen(self):
         problem, twin = (self.labeled(["b", "a"], "a") for _ in range(2))

@@ -407,6 +407,12 @@ class TestLatency:
                 f"latency seconds must be a number, got {seconds!r}")):
             LatencyTable(entries={("generation", 1, 0): seconds})
 
+    def test_seconds_past_float_range_rejected(self):
+        # an int past float range once passed, then failed in a raw
+        # OverflowError where a curve point stored its budget
+        with pytest.raises(ValueError, match="invalid latency entry"):
+            LatencyTable.from_json('{"generation": {"1": 1%s}}' % ("0" * 400))
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
     def test_non_finite_seconds_rejected(self, literal):
         # a NaN entry once priced a curve point at nan seconds
@@ -414,6 +420,30 @@ class TestLatency:
             LatencyTable(entries={("generation", 1, 0): float(literal.lower())})
         for doc in ('{"generation": {"1": %s}}', '{"gen_verify": {"2": {"1": %s}}}'):
             with pytest.raises(ValueError, match="invalid latency entry"):
+                LatencyTable.from_json(doc % literal)
+
+    @pytest.mark.parametrize("doc, message", [
+        ("[1]", "top level must be a JSON object, got [1]"),
+        ('{"generation": [1]}', "generation must be a JSON object, got [1]"),
+        ('{"disc_verify": 2}', "disc_verify must be a JSON object, got 2"),
+        ('{"gen_verify": {"2": [1]}}', "gen_verify M=2 must be a JSON object, got [1]"),
+        ('{"generation": {"x": 1}}', "generation key must be an integer, got 'x'"),
+        ('{"gen_verify": {"y": {}}}', "gen_verify key must be an integer, got 'y'"),
+        ('{"gen_verify": {"2": {"z": 1}}}',
+         "gen_verify M=2 key must be an integer, got 'z'"),
+    ])
+    def test_from_json_names_a_bad_shape(self, doc, message):
+        # a list once failed in a raw AttributeError, a bad key with int()'s
+        # message
+        with pytest.raises(ValueError, match=re.escape(f"latency table: {message}")):
+            LatencyTable.from_json(doc)
+
+    @pytest.mark.parametrize("literal", ["null", "true", '"1"'])
+    def test_from_json_seconds_are_numbers(self, literal):
+        # null once failed in a raw TypeError; true and "1" passed as 1 s
+        for doc in ('{"generation": {"1": %s}}', '{"gen_verify": {"2": {"1": %s}}}'):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"latency seconds must be a number, got {json.loads(literal)!r}")):
                 LatencyTable.from_json(doc % literal)
 
     def test_mode_composition(self):

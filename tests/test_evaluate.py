@@ -41,7 +41,9 @@ import verisel.evaluate as evaluate_module
 import verisel.selection as selection_module
 from verisel.costs import MODEL_PRESETS
 from verisel.evaluate import _eval_problems
+from verisel.selection import SCORE_TRANSFORMS
 
+import oracles
 from oracles import enumeration_pass_at_n
 from pools import random_problem
 
@@ -99,6 +101,27 @@ def select_on_slate(problem, idx, cfg):
     except EmptyPoolError:
         return 0.0
     return float(correct_of(problem)[result.chosen_answer])
+
+
+def oracle_on_slate(problem, idx, cfg):
+    """The same slate's outcome from tests/oracles.py's rule, on the
+    slate's candidates with cfg's transform applied to each score."""
+    sub = [problem.candidates[i] for i in idx]
+    fn = SCORE_TRANSFORMS[cfg.transform]
+    if cfg.method == "bon":  # BoN ranks raw scores
+        pick = oracles.oracle_bon(
+            [(c.candidate_id, c.cluster_key, c.disc_score) for c in sub])
+        answer = None if pick is None else pick[1]
+    elif cfg.method == "gpv":
+        m = cfg.m_verifications or len(sub[0].gen_scores)
+        view = [(c.candidate_id, c.cluster_key, [fn(s) for s in c.gen_scores])
+                for c in sub]
+        answer = oracles.oracle_gpv(view, cfg.effective_alpha, m)
+    else:
+        view = [(c.candidate_id, c.cluster_key, fn(c.disc_score)) for c in sub]
+        answer = (oracles.oracle_pv(view, cfg.effective_alpha) if cfg.method == "pv"
+                  else getattr(oracles, f"oracle_{cfg.method}")(view))
+    return 0.0 if answer is None else float(correct_of(problem)[answer])
 
 
 class TestEvalConfig:
@@ -186,7 +209,9 @@ class TestSlateRng:
 
 class TestSlateEquivalence:
     """The vectorized per-draw scorer must agree with the selection rules
-    exactly, slate by slate, not just in aggregate."""
+    exactly, slate by slate, not just in aggregate: with select_answer,
+    which runs the same kernel on the slate as a pool, and with the
+    independent oracles."""
 
     def test_sampled_slates_match_selection(self):
         rng = np.random.default_rng(31)
@@ -212,6 +237,9 @@ class TestSlateEquivalence:
                     assert rows[t] == select_on_slate(problem, idx, cfg), (
                         f"{method} trial {trial} draw {t}"
                     )
+                    assert rows[t] == oracle_on_slate(problem, idx, cfg), (
+                        f"{method} trial {trial} draw {t}: oracle"
+                    )
 
     def test_exhaustive_slates_match_selection(self):
         rng = np.random.default_rng(32)
@@ -225,6 +253,7 @@ class TestSlateEquivalence:
             assert len(rows) == len(slates) == 20
             for row, idx in zip(rows, slates):
                 assert row == select_on_slate(problem, np.array(idx), cfg)
+                assert row == oracle_on_slate(problem, idx, cfg)
 
     def test_gpv_pass_means_summed_as_select_does(self):
         """numpy's pairwise row sum (M >= 8) would break this exact tie the
@@ -244,6 +273,7 @@ class TestSlateEquivalence:
             rows = _eval_problems([problem], cfg, True)[0]
             assert rows.tolist() == [float(a_correct)]
             assert rows[0] == select_on_slate(problem, np.arange(2), cfg)
+            assert rows[0] == oracle_on_slate(problem, np.arange(2), cfg)
 
 
 def compensated_sum(values, start=0):
@@ -289,7 +319,7 @@ class TestInOrderSums:
 
     def test_gen_means(self):
         means = selection_module._gen_means({"c0": (1e16, 1.0, -1e16)}, 3)
-        assert means == {"c0": 0.0}
+        assert means.tolist() == [0.0]
 
 
 class TestBootstrap:

@@ -1,5 +1,6 @@
 """The five selection rules: contract examples, properties, oracle checks."""
 
+import dataclasses
 import itertools
 import math
 import re
@@ -154,6 +155,43 @@ class TestSelectWSC:
     def test_scores_required(self):
         with pytest.raises(ValueError, match="scores required"):
             select_wsc(clusters(["A"], [None]))
+
+
+class TestScoreMaps:
+    """The dict functions check a score map as a Candidate checks its
+    scores: each entry a finite int or float, never a bool."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "0.5", None],
+                             ids=["nan", "inf", "-inf", "bool", "str", "none"])
+    @pytest.mark.parametrize("rule", ["bon", "wsc", "pv"])
+    def test_bad_score_named(self, rule, bad):
+        # bon once failed with a raw IndexError on NaN and wsc with a raw
+        # TypeError on a str; NaN lost in wsc, True counted as 1.0 and inf
+        # won pv
+        problem = pool(["A", "B", "B"], [0.5, 0.1, 0.2])
+        scores = {"c0": 0.5, "c1": bad, "c2": 0.2}
+        message = re.escape(f"candidate 'c1': score must be a finite number, "
+                            f"got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            if rule == "bon":
+                select_bon(problem.candidates, scores)
+            else:
+                {"wsc": select_wsc, "pv": select_pv}[rule](
+                    cluster_by_answer(problem), scores)
+
+    @pytest.mark.parametrize("bad", [(0.5, math.nan), (math.inf,), (True,), "ab", 0.5],
+                             ids=["nan", "inf", "bool", "str", "float"])
+    def test_bad_gen_row_named(self, bad):
+        problem = pool(["A", "B"])
+        message = re.escape(f"candidate 'c1': gen_scores must be finite numbers, "
+                            f"got {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            select_gpv(cluster_by_answer(problem), {"c0": (0.5,), "c1": bad})
+
+    def test_ints_count_as_floats(self):
+        cl = clusters(["A", "B", "B"])
+        assert select_wsc(cl, {"c0": 1, "c1": 0, "c2": 0}) == \
+            select_wsc(cl, {"c0": 1.0, "c1": 0.0, "c2": 0.0})
 
 
 class TestSelectPV:
@@ -422,6 +460,104 @@ class TestSeededTieBreak:
         assert all(
             select_wsc(cl).chosen_answer == "A" for _ in range(10)
         )
+
+
+def close(got, want):
+    return got is want is None or (
+        None not in (got, want) and math.isclose(got, want, rel_tol=0, abs_tol=1e-12))
+
+
+class TestDiagnosticsOracle:
+    """select_answer's cluster_diagnostics against the oracle's naive
+    per-cluster statement: keys, supports, order and sums exactly (both
+    add in pool order), penalty and objective to 1e-12."""
+
+    def test_random_pools(self):
+        rng = np.random.default_rng(2025)
+        for i in range(400):
+            problem = random_problem(rng, max_size=32)
+            if i % 5 == 0:  # an unscored pool: sc's sums are None
+                problem = Problem("q", tuple(
+                    dataclasses.replace(c, disc_score=None)
+                    for c in problem.candidates))
+            m = len(problem.candidates[0].gen_scores)
+            alpha = float(rng.choice([0.0, 0.1, 0.5, 2.0]))
+            for rule in METHODS if i % 5 else ("sc",):
+                got = select_answer(problem, rule, alpha=alpha, transform="raw")
+                view = oracle_gen_view(problem) if rule == "gpv" else [
+                    (c.candidate_id, c.cluster_key, c.disc_score)
+                    for c in problem.candidates]
+                want = oracles.oracle_diagnostics(view, rule, alpha, m)
+                assert [(d.answer_key, d.n_a, d.sum_score)
+                        for d in got.cluster_diagnostics] == \
+                    [row[:3] for row in want], (i, rule)
+                for d, (*_, penalty, objective) in zip(got.cluster_diagnostics, want):
+                    assert close(d.penalty, penalty), (i, rule, d)
+                    assert close(d.objective, objective), (i, rule, d)
+
+
+def tie_pool(spec):
+    """spec: (answer, disc_score, gen_scores) per candidate, ids c0, c1, ..."""
+    return Problem(problem_id="ties", candidates=tuple(
+        Candidate(candidate_id=f"c{i}", answer_raw=a, answer_key=a,
+                  disc_score=s, gen_scores=g)
+        for i, (a, s, g) in enumerate(spec)))
+
+
+# Pools where three or more clusters tie, and a BoN pool whose top score
+# four answered candidates share; each rule's seeded draws for seeds 0-19,
+# as the code before the one-kernel refactor gave them.
+PINNED_TIES = {
+    # sc: a, b and c tie at two members each
+    "sc": (tie_pool([("c", 0.1, None), ("a", 0.2, None), ("", 0.3, None),
+                     ("b", 0.4, None), ("a", 0.5, None), ("b", 0.6, None),
+                     ("c", 0.7, None), ("d", 0.8, None)]), {},
+           "cbccccbccbcabcacbccb"),
+    # wsc: sums of 0.5 at supports 2, 1 and 4
+    "wsc": (tie_pool([("a", 0.25, None), ("b", 0.5, None), ("c", 0.125, None),
+                      ("a", 0.25, None), ("c", 0.125, None), ("", 5.0, None),
+                      ("c", 0.125, None), ("d", 0.1, None), ("c", 0.125, None)]),
+            {"transform": "raw"}, "babbbbabbabcabcbabba"),
+    # pv at alpha 0: means of 0.5 at supports 3, 1 and 2
+    "pv": (tie_pool([("b", 0.5, None), ("a", 0.5, None), ("c", 0.25, None),
+                     ("a", 0.5, None), ("d", 0.25, None), ("c", 0.75, None),
+                     ("a", 0.5, None), ("d", 0.25, None), ("", 0.9, None)]),
+           {"transform": "raw", "alpha": 0.0}, "bcbbbbcbbcbacbabcbbc"),
+    # gpv at alpha 0, M = 2: means of 0.5 at supports 2, 1 and 3
+    "gpv": (tie_pool([("a", None, (0.5, 0.5)), ("b", None, (0.25, 0.75)),
+                      ("c", None, (1.0, 0.0)), ("c", None, (1.0, 0.0)),
+                      ("a", None, (0.5, 0.5)), ("d", None, (0.0, 0.25)),
+                      ("c", None, (1.0, 0.0)), ("", None, (1.0, 1.0))]),
+            {"transform": "raw", "alpha": 0.0}, "babbbbabbabcabcbabba"),
+    # pv under the sigmoid, default alpha: four clusters of two, equal scores
+    "pv-sigmoid": (tie_pool([(a, 0.3, None) for a in "dcbaabcd"]), {},
+                   "dbddccbdcbdacdadccdc"),
+    # bon: five candidates share the top score, one of them unanswered
+    "bon": (tie_pool([("", 0.9, None), ("a", 0.9, None), ("a", 0.9, None),
+                      ("b", 0.9, None), ("d", 0.2, None), ("c", 0.9, None),
+                      ("c", 0.1, None)]), {},
+            "c5 c2 c5 c5 c3 c3 c2 c5 c3 c2 c5 c1 c3 c5 c1 c5 c3 c3 c5 c3"),
+}
+
+
+class TestSeededTieBreakPinned:
+    """--random-ties draws as it did before the rules shared one kernel:
+    one rng.integers(len(tied)) per call, over the tied clusters in
+    cluster order (BoN: the tied candidates in its order)."""
+
+    @pytest.mark.parametrize("case", sorted(PINNED_TIES))
+    def test_draws(self, case):
+        problem, kwargs, want = PINNED_TIES[case]
+        method = case.split("-")[0]
+        results = [select_answer(problem, method, rng=np.random.default_rng(s),
+                                 **kwargs) for s in range(20)]
+        if method == "bon":
+            ids = want.split()
+            assert [r.chosen_candidate for r in results] == ids
+            key_of = {c.candidate_id: c.cluster_key for c in problem.candidates}
+            assert [r.chosen_answer for r in results] == [key_of[i] for i in ids]
+        else:
+            assert "".join(r.chosen_answer for r in results) == want
 
 
 class TestOracleAgreement:

@@ -123,7 +123,7 @@ def cmd_cost(args: argparse.Namespace) -> int:
 
     if args.input is not None:
         problems = _read_problems(args)
-        stats = [c.token_stats for p in problems for c in p.candidates]
+        stats = [st for p in problems for st in p.token_stats]
     else:
         out_tokens = (
             args.solution_tokens if args.output_tokens is None

@@ -1,7 +1,10 @@
 """Core domain types: candidates, problems, and answer clusters.
 
 Everything here is an immutable value object plus pure functions over them,
-so pools can be evaluated concurrently without shared state.
+so pools can be evaluated concurrently without shared state. A Problem
+holds its pool as columns; the rules of a valid candidate and of a valid
+problem are stated once, on columns, and a Candidate built in code is
+checked as a one-row column.
 """
 
 from __future__ import annotations
@@ -10,9 +13,11 @@ import math
 import numbers
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain, repeat
+from operator import attrgetter, is_not, le
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -45,6 +50,8 @@ def _check_int(name: str, value: int) -> None:
 
 def _check_number(name: str, value: float) -> None:
     """value is a real number (an int or a float, say), but not a bool."""
+    if type(value) in (float, int):  # the common case, without the ABC check
+        return
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ValueError(f"{name} must be a number, got {value!r}")
 
@@ -52,11 +59,141 @@ def _check_number(name: str, value: float) -> None:
 def _check_token_count(name: str, value: int) -> None:
     """A token count is a non-negative int, by exact type: a bool, or any
     other int subclass, is not one."""
-    if type(value) is not int or value < 0:
+    if not _counts_hold((value,)):
         raise ValueError(f"invalid token count: {name}={value!r}")
 
 
-@dataclass(frozen=True)
+# Exact types, as json.loads gives values; a bool is a type of its own.
+_INT = frozenset((int,))
+_NUMBER_TYPES = frozenset((int, float))
+_SCORE_TYPES = frozenset((int, float, type(None)))
+_FLOAT = frozenset((float,))
+_STR = frozenset((str,))
+_LABEL_TYPES = frozenset((bool, type(None)))
+_present = partial(is_not, None)
+
+
+def _counts_hold(values: Sequence, optional: bool = False) -> bool:
+    """Each value is a token count (or, if optional, None)."""
+    if optional:
+        values = list(filter(_present, values))
+        if not values:
+            return True
+    return _of_types(values, _INT) and min(values) >= 0
+
+
+def _finite(values: Sequence, types: frozenset = _NUMBER_TYPES) -> bool:
+    """Each value is a finite int or float, by exact type (or, when types
+    allow it, None)."""
+    try:
+        if len(values) == 1:  # the same test, without the bulk set-up
+            value = values[0]
+            return type(value) in types and (value is None or math.isfinite(value))
+        if not types.issuperset(map(type, values)):
+            return False
+        return all(map(math.isfinite,
+                       values if types is _NUMBER_TYPES else filter(_present, values)))
+    except OverflowError:  # an int past float range
+        return False
+
+
+def _finite_rows(rows: Sequence) -> bool:
+    """Each row is None or holds finite ints and floats, by exact type."""
+    try:
+        if len(rows) == 1:
+            row = rows[0]
+            return row is None or _finite(
+                row if type(row) in (tuple, list) else list(row))
+        return _finite(list(chain.from_iterable(filter(_present, rows))))
+    except TypeError:  # a row that is not a sequence
+        return False
+
+
+def _floats(values) -> Optional[tuple[float, ...]]:
+    """values as floats if each is a finite int or float, else None."""
+    try:
+        values = tuple(values)
+    except TypeError:  # not iterable
+        return None
+    if _FLOAT.issuperset(map(type, values)) and all(map(math.isfinite, values)):
+        return values  # finite floats already
+    return tuple(map(float, values)) if _finite(values) else None
+
+
+def _of_types(values: Sequence, types: frozenset) -> bool:
+    """Each value's exact type is one of types."""
+    if len(values) == 1:
+        return type(values[0]) in types
+    return types.issuperset(map(type, values))
+
+
+def _texts(values: Sequence) -> bool:
+    """Each value is a str (or a subclass of it)."""
+    if len(values) == 1:
+        return isinstance(values[0], str)
+    return (_STR.issuperset(map(type, values))
+            or all(map(isinstance, values, repeat(str))))
+
+
+def _token_fault(prompt, output, solution, budget, verify) -> Optional[str]:
+    """The one statement of valid token counts, on columns (one entry per
+    candidate): None if every row holds, else the first broken rule's
+    message, about the first row. In order: prompt_tokens, output_tokens
+    and solution_tokens are counts; solution_tokens <= output_tokens;
+    reasoning_budget and verification_out_tokens are None or counts."""
+    columns = (prompt, output, solution, budget, verify)
+    for i, (name, values) in enumerate(zip(_TOKEN_FIELDS, columns)):
+        if i == 3 and not all(map(le, solution, output)):
+            return (f"invalid token count: solution_tokens {solution[0]} > "
+                    f"output_tokens {output[0]}")
+        if not _counts_hold(values, optional=i >= 3):
+            return f"invalid token count: {name}={values[0]!r}"
+    return None
+
+
+def _candidate_fault(ids, raws, keys, labels, discs, gens) -> Optional[str]:
+    """The one statement of a valid candidate, on columns (one entry per
+    candidate): None if every row holds, else the first broken rule's
+    message, about the first row. In order: candidate_id is a non-empty
+    string; answer_raw and answer_key are strings; correct is None or a
+    bool; each score is None or a finite int or float, never a bool;
+    gen_scores is non-empty; non-blank answer_raw has an answer_key, and no
+    answer_key is NO_ANSWER_KEY; labeled correct needs an answer."""
+    if not (_texts(ids) and "" not in ids):
+        return f"candidate_id must be a non-empty string, got {ids[0]!r}"
+    cid = ids[0]
+    if not _texts(raws):
+        return f"candidate {cid!r}: answer must be a string, got {raws[0]!r}"
+    if not _texts(keys):
+        return f"candidate {cid!r}: answer_key must be a string, got {keys[0]!r}"
+    if not _of_types(labels, _LABEL_TYPES):
+        return f"correct must be true or false, got {labels[0]!r}"
+    if not _finite(discs, _SCORE_TYPES):
+        return f"disc_score must be a finite number, got {discs[0]!r}"
+    if not _finite_rows(gens):
+        return f"gen_scores must be finite numbers, got {gens[0]!r}"
+    if not all(map(len, filter(_present, gens))):
+        return f"candidate {cid!r}: gen_scores must be non-empty"
+    unanswered = [(raw, label) for raw, key, label in zip(raws, keys, labels)
+                  if not key] if "" in keys else None
+    if unanswered and any(raw.strip() for raw, _ in unanswered):
+        return f"candidate {cid!r}: answer_key empty but answer_raw is not blank"
+    if NO_ANSWER_KEY in keys:
+        return f"candidate {cid!r}: answer {NO_ANSWER_KEY!r} is reserved"
+    if unanswered and any(label for _, label in unanswered):
+        return f"candidate {cid!r}: no answer, but labeled correct"
+    return None
+
+
+def _unchecked(cls, **values):
+    """An instance of a frozen dataclass holding values, with no checks:
+    for values that were checked as columns."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(values)
+    return obj
+
+
+@dataclass(frozen=True, init=False)
 class TokenStats:
     """Token counts for one candidate solution.
 
@@ -64,6 +201,7 @@ class TokenStats:
     solution_tokens is the length after the reasoning span is removed and is
     what a verifier reads. verification_out_tokens, when present, is the
     number of tokens a generative verifier emits per verification pass.
+    Checked as a one-row column by _token_fault.
     """
 
     prompt_tokens: int = 0
@@ -72,54 +210,35 @@ class TokenStats:
     reasoning_budget: Optional[int] = None
     verification_out_tokens: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        _check_token_count("prompt_tokens", self.prompt_tokens)
-        _check_token_count("output_tokens", self.output_tokens)
-        _check_token_count("solution_tokens", self.solution_tokens)
-        if self.solution_tokens > self.output_tokens:
-            raise ValueError(
-                "invalid token count: solution_tokens "
-                f"{self.solution_tokens} > output_tokens {self.output_tokens}"
-            )
-        if self.reasoning_budget is not None:
-            _check_token_count("reasoning_budget", self.reasoning_budget)
-        if self.verification_out_tokens is not None:
-            _check_token_count("verification_out_tokens", self.verification_out_tokens)
+    def __init__(self, prompt_tokens: int = 0, output_tokens: int = 0,
+                 solution_tokens: int = 0, reasoning_budget: Optional[int] = None,
+                 verification_out_tokens: Optional[int] = None) -> None:
+        fault = _token_fault((prompt_tokens,), (output_tokens,), (solution_tokens,),
+                             (reasoning_budget,), (verification_out_tokens,))
+        if fault:
+            raise ValueError(fault)
+        self.__dict__.update(
+            prompt_tokens=prompt_tokens, output_tokens=output_tokens,
+            solution_tokens=solution_tokens, reasoning_budget=reasoning_budget,
+            verification_out_tokens=verification_out_tokens,
+        )
 
 
-# Score types, as json.loads gives numbers; a bool is a type of its own.
-_NUMBER_TYPES = frozenset((int, float))
-_FLOAT = frozenset((float,))
+_TOKEN_FIELDS = tuple(f.name for f in fields(TokenStats))
+_NO_TOKENS = TokenStats()  # one shared, immutable default
 
 
-def _floats(values) -> Optional[tuple[float, ...]]:
-    """values as floats if each is a finite int or float, else None."""
-    try:
-        values = tuple(values)
-        if not _FLOAT.issuperset(map(type, values)):  # convert ints, refuse the rest
-            if not _NUMBER_TYPES.issuperset(map(type, values)):
-                return None
-            values = tuple(map(float, values))
-        return values if all(map(math.isfinite, values)) else None
-    except (TypeError, OverflowError):  # not iterable; an int past float range
-        return None
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Candidate:
     """One sampled solution: its answer, optional label, and verifier scores.
 
     disc_score is the raw logit from a discriminative verifier; gen_scores
     are the per-verification scores from a generative verifier (length M,
-    uniform within a problem).
+    uniform within a problem). Scores are stored as floats.
 
-    The one statement of a valid candidate; ValueError names the first
-    broken rule: candidate_id is a non-empty string; answer_raw and
-    answer_key are strings; correct is None or a bool; each score is a
-    finite int or float (stored as a float), never a bool; gen_scores is
-    non-empty; non-blank answer_raw has an answer_key, and no answer_key is
-    NO_ANSWER_KEY; labeled correct needs an answer. cluster_key, set here
-    and not a field, is the key clustering uses: answer_key, or
+    Checked as a one-row column by _candidate_fault, the one statement of a
+    valid candidate; ValueError names the first broken rule. cluster_key,
+    set here and not a field, is the key clustering uses: answer_key, or
     NO_ANSWER_KEY for a failed extraction.
     """
 
@@ -129,40 +248,45 @@ class Candidate:
     correct: Optional[bool] = None
     disc_score: Optional[float] = None
     gen_scores: Optional[tuple[float, ...]] = None
-    token_stats: TokenStats = TokenStats()  # one shared, immutable default
+    token_stats: TokenStats = _NO_TOKENS
 
-    def __post_init__(self) -> None:
-        cid, raw, key = self.candidate_id, self.answer_raw, self.answer_key
-        disc = self.disc_score
-        if not isinstance(cid, str) or not cid:
-            raise ValueError(f"candidate_id must be a non-empty string, got {cid!r}")
-        if not isinstance(raw, str):
-            raise ValueError(f"candidate {cid!r}: answer must be a string, got {raw!r}")
-        if not isinstance(key, str):
-            raise ValueError(
-                f"candidate {cid!r}: answer_key must be a string, got {key!r}")
-        if self.correct is not None and not isinstance(self.correct, bool):
-            raise ValueError(f"correct must be true or false, got {self.correct!r}")
-        if disc is not None and (type(disc) is not float or not math.isfinite(disc)):
-            if _floats((disc,)) is None:
-                raise ValueError(f"disc_score must be a finite number, got {disc!r}")
-            object.__setattr__(self, "disc_score", float(disc))
-        if self.gen_scores is not None:
-            gen = _floats(self.gen_scores)
-            if gen is None:
-                raise ValueError(
-                    f"gen_scores must be finite numbers, got {self.gen_scores!r}")
-            if not gen:
-                raise ValueError(f"candidate {cid!r}: gen_scores must be non-empty")
-            object.__setattr__(self, "gen_scores", gen)
-        if raw.strip() and not key:
-            raise ValueError(
-                f"candidate {cid!r}: answer_key empty but answer_raw is not blank")
-        if key == NO_ANSWER_KEY:
-            raise ValueError(f"candidate {cid!r}: answer {NO_ANSWER_KEY!r} is reserved")
-        if self.correct and not key:
-            raise ValueError(f"candidate {cid!r}: no answer, but labeled correct")
-        object.__setattr__(self, "cluster_key", key or NO_ANSWER_KEY)
+    def __init__(self, candidate_id: str, answer_raw: str = "", answer_key: str = "",
+                 correct: Optional[bool] = None, disc_score: Optional[float] = None,
+                 gen_scores: Optional[Iterable[float]] = None,
+                 token_stats: TokenStats = _NO_TOKENS) -> None:
+        if gen_scores is not None and type(gen_scores) not in (tuple, list):
+            try:
+                if iter(gen_scores) is gen_scores:  # an iterator is read once
+                    gen_scores = tuple(gen_scores)
+            except TypeError:  # not iterable: the rules refuse it
+                pass
+        fault = _candidate_fault((candidate_id,), (answer_raw,), (answer_key,),
+                                 (correct,), (disc_score,), (gen_scores,))
+        if fault:
+            raise ValueError(fault)
+        if disc_score is not None and type(disc_score) is not float:
+            disc_score = float(disc_score)
+        if gen_scores is not None and (type(gen_scores) is not tuple
+                                       or not _FLOAT.issuperset(map(type, gen_scores))):
+            gen_scores = tuple(map(float, gen_scores))
+        _fill(self, candidate_id, answer_raw, answer_key, correct, disc_score,
+              gen_scores, token_stats)
+
+
+def _fill(candidate: Candidate, *values) -> None:
+    """Store a Candidate's fields, which were checked, and its cluster_key.
+    Each is stored in field order, so the instance dict shares its keys
+    with every other Candidate's (dict.update would give each its own)."""
+    stored = candidate.__dict__
+    (stored["candidate_id"], stored["answer_raw"], stored["answer_key"],
+     stored["correct"], stored["disc_score"], stored["gen_scores"],
+     stored["token_stats"]) = values
+    stored["cluster_key"] = stored["answer_key"] or NO_ANSWER_KEY
+
+
+# What _check_problem reads of each Candidate, and its answer key.
+_CHECKED_FIELDS = attrgetter("candidate_id", "correct", "disc_score", "gen_scores")
+_ANSWER_KEY = attrgetter("answer_key")
 
 
 class AnswerColumns(NamedTuple):
@@ -176,92 +300,207 @@ class AnswerColumns(NamedTuple):
     keys: tuple[str, ...]
 
 
-def _answer_columns(candidates: Sequence[Candidate]) -> AnswerColumns:
-    """The candidates' answers as columns (a pool's, or a slate's)."""
-    graded = {c.cluster_key: c.correct for c in candidates}  # one per key
-    keys = tuple(sorted(graded))
-    code_of = {key: i for i, key in enumerate(keys)}
+def _answer_columns(keys: Sequence[str],
+                    labels: Optional[Sequence[bool]] = None) -> AnswerColumns:
+    """Answer columns of candidates with these cluster keys and labels, or
+    None when they are unlabeled (a pool's, or a slate's)."""
+    graded = dict(zip(keys, labels)) if labels is not None else None  # one per key
+    ordered = tuple(sorted(set(keys) if graded is None else graded))
+    code_of = {key: i for i, key in enumerate(ordered)}
     return AnswerColumns(
-        np.array([code_of[c.cluster_key] for c in candidates], np.int32),
+        np.fromiter(map(code_of.__getitem__, keys), np.int32, len(keys)),
         code_of.get(NO_ANSWER_KEY, -1),
-        None if candidates[0].correct is None
-        else np.array([graded[key] for key in keys], bool),
-        keys,
+        None if graded is None else np.array([graded[key] for key in ordered], bool),
+        ordered,
     )
 
 
-@dataclass(frozen=True)
-class Problem:
-    """A pool of candidate solutions for one problem.
+def _check_problem(problem_id, ids, keys, labels, discs, gens) -> None:
+    """The one statement of a valid problem, on its candidates' columns:
+    ids, answer keys (any iterable; read only when labels differ), labels,
+    and disc_score and gen_scores, each None where absent.
 
     problem_id is a non-empty string, else ValueError. Then EmptyPoolError
     for no candidates, or IngestError on the first broken invariant, in
     order: disc_score, then gen_scores, on all candidates or none; one
-    label per answer among labeled candidates; unique candidate_ids;
-    labels on all or none; one gen_scores length M. Nothing downstream
-    checks these again.
-    """
-
-    problem_id: str
-    candidates: tuple[Candidate, ...]
-
-    def __post_init__(self) -> None:
-        pid = self.problem_id
-        if not isinstance(pid, str) or not pid:
-            raise ValueError(f"problem_id must be a non-empty string, got {pid!r}")
-        if not isinstance(self.candidates, tuple):
-            object.__setattr__(self, "candidates", tuple(self.candidates))
-        cands = self.candidates
-        if not cands:
-            raise EmptyPoolError(f"problem {pid!r}: empty pool")
-        for name in ("disc_score", "gen_scores"):
-            present = sum(getattr(c, name) is not None for c in cands)
-            if 0 < present < len(cands):
-                raise IngestError(
-                    f"problem {self.problem_id!r}: {name} present on {present} "
-                    f"of {len(cands)} candidates (must be all or none)"
-                )
-        labels = [c.correct for c in cands]
+    label per answer among labeled candidates; unique candidate_ids; labels
+    on all or none; one gen_scores length M."""
+    if not isinstance(problem_id, str) or not problem_id:
+        raise ValueError(f"problem_id must be a non-empty string, got {problem_id!r}")
+    size = len(ids)
+    if not size:
+        raise EmptyPoolError(f"problem {problem_id!r}: empty pool")
+    for name, values in (("disc_score", discs), ("gen_scores", gens)):
+        present = size - values.count(None)
+        if 0 < present < size:
+            raise IngestError(
+                f"problem {problem_id!r}: {name} present on {present} "
+                f"of {size} candidates (must be all or none)"
+            )
+    if True in labels and False in labels:  # else no key can have two labels
         seen: dict[str, bool] = {}
-        for c, label in zip(cands, labels):
-            if label is not None and seen.setdefault(c.cluster_key, label) != label:
+        for key, label in zip(keys, labels):
+            if label is not None and seen.setdefault(key, label) != label:
                 raise IngestError(
-                    f"problem {self.problem_id!r}: answer {c.cluster_key!r} "
+                    f"problem {problem_id!r}: answer {key or NO_ANSWER_KEY!r} "
                     "graded both correct and incorrect"
                 )
-        ids = [c.candidate_id for c in cands]
-        if len(set(ids)) != len(ids):
-            raise IngestError(
-                f"problem {self.problem_id!r}: duplicate candidate_ids"
-            )
-        if 0 < labels.count(None) < len(cands):
-            raise IngestError(
-                f"problem {self.problem_id!r}: mixed labeling "
-                "(all candidates must carry ground-truth labels, or none)"
-            )
-        lengths = {len(c.gen_scores) for c in cands if c.gen_scores}
-        if len(lengths) > 1:
-            raise IngestError(
-                f"problem {self.problem_id!r}: inconsistent M "
-                f"(gen_scores lengths {sorted(lengths)})"
-            )
+    if len(set(ids)) != size:
+        raise IngestError(f"problem {problem_id!r}: duplicate candidate_ids")
+    if 0 < labels.count(None) < size:
+        raise IngestError(
+            f"problem {problem_id!r}: mixed labeling "
+            "(all candidates must carry ground-truth labels, or none)"
+        )
+    lengths = set() if gens[0] is None else set(map(len, gens))
+    if len(lengths) > 1:
+        raise IngestError(
+            f"problem {problem_id!r}: inconsistent M "
+            f"(gen_scores lengths {sorted(lengths)})"
+        )
 
-    def __len__(self) -> int:
-        return len(self.candidates)
 
-    @property
-    def labeled(self) -> bool:
-        return self.candidates[0].correct is not None
+def _read_only(array: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    if array is not None:
+        array.flags.writeable = False
+    return array
+
+
+class Problem:
+    """A pool of candidate solutions for one problem, held as columns.
+
+    Each candidate has one entry, in pool order, in candidate_ids, answers
+    (raw text), answer_keys ("" for no answer) and labels; disc is a
+    float64 (k,) array and gen a float64 (k, M) array, or None when the
+    pool carries no such scores; tokens holds the five TokenStats fields as
+    columns of exact ints; token_stats holds each candidate's TokenStats.
+    Built in code from Candidates, a Problem keeps them and builds its
+    arrays on first use; ingest builds the columns, and candidates is built
+    on first use, with no second check. _check_problem states what is
+    valid, and nothing downstream checks it again. repr is that of a
+    dataclass of (problem_id, candidates); == and hash compare the columns,
+    which is == of the candidates. A Problem is immutable and pickles as
+    its columns.
+    """
+
+    def __init__(self, problem_id: str, candidates: Iterable[Candidate]) -> None:
+        candidates = tuple(candidates)
+        ids, labels, discs, gens = (
+            tuple(zip(*map(_CHECKED_FIELDS, candidates))) or ((),) * 4)
+        _check_problem(problem_id, ids, map(_ANSWER_KEY, candidates), labels,
+                       discs, gens)
+        self.__dict__.update(problem_id=problem_id, candidates=candidates,
+                             candidate_ids=ids, labels=labels)
+
+    @classmethod
+    def _of_columns(cls, problem_id: str, candidate_ids: tuple, answers: tuple,
+                    answer_keys: tuple, labels: tuple, disc: Optional[np.ndarray],
+                    gen: Optional[np.ndarray], tokens: tuple) -> "Problem":
+        """A Problem of columns that were already checked; no check runs."""
+        return _unchecked(
+            cls, problem_id=problem_id, candidate_ids=candidate_ids, answers=answers,
+            answer_keys=answer_keys, labels=labels, disc=_read_only(disc),
+            gen=_read_only(gen), tokens=tokens,
+        )
+
+    @cached_property
+    def candidates(self) -> tuple[Candidate, ...]:
+        """The pool as Candidates, built from the columns on first use."""
+        disc = repeat(None) if self.disc is None else self.disc.tolist()
+        gen = repeat(None) if self.gen is None else map(tuple, self.gen.tolist())
+        candidates = []
+        for row in zip(self.candidate_ids, self.answers, self.answer_keys,
+                       self.labels, disc, gen, self.token_stats):
+            candidate = object.__new__(Candidate)
+            _fill(candidate, *row)
+            candidates.append(candidate)
+        return tuple(candidates)
+
+    @cached_property
+    def disc(self) -> Optional[np.ndarray]:
+        scores = [c.disc_score for c in self.candidates]
+        return _read_only(None if scores[0] is None else np.array(scores))
+
+    @cached_property
+    def gen(self) -> Optional[np.ndarray]:
+        rows = [c.gen_scores for c in self.candidates]
+        return _read_only(None if rows[0] is None else np.array(rows))
+
+    @cached_property
+    def answers(self) -> tuple[str, ...]:
+        return tuple(c.answer_raw for c in self.candidates)
+
+    @cached_property
+    def answer_keys(self) -> tuple[str, ...]:
+        return tuple(map(_ANSWER_KEY, self.candidates))
+
+    @cached_property
+    def tokens(self) -> tuple[tuple, ...]:
+        return tuple(zip(*[
+            [getattr(st, name) for name in _TOKEN_FIELDS] for st in self.token_stats
+        ]))
+
+    @cached_property
+    def token_stats(self) -> tuple[TokenStats, ...]:
+        """Each candidate's TokenStats, built on first use: a Problem built in
+        code reads its candidates; ingest's builds them from the columns, and
+        candidates with equal counts share one."""
+        if "candidates" in vars(self):  # built in code
+            return tuple(c.token_stats for c in self.candidates)
+        made: dict[tuple, TokenStats] = {}
+        return tuple(
+            made.get(row) or made.setdefault(
+                row, _unchecked(TokenStats, **dict(zip(_TOKEN_FIELDS, row))))
+            for row in zip(*self.tokens)
+        )
 
     @cached_property
     def answer_columns(self) -> AnswerColumns:
-        """Built on first use, then kept; not a field, so repr and == ignore it."""
-        return _answer_columns(self.candidates)
+        """Built on first use, then kept; repr and == ignore it."""
+        return _answer_columns([key or NO_ANSWER_KEY for key in self.answer_keys],
+                               self.labels if self.labeled else None)
 
     @cached_property
     def _memo(self) -> dict:
         """What slate evaluation reads of this pool, kept by evaluate.py."""
         return {}
+
+    def __len__(self) -> int:
+        return len(self.candidate_ids)
+
+    @property
+    def labeled(self) -> bool:
+        return self.labels[0] is not None
+
+    def _values(self) -> tuple:
+        """What == and hash compare: every column, as plain values."""
+        disc = None if self.disc is None else tuple(self.disc.tolist())
+        gen = None if self.gen is None else tuple(map(tuple, self.gen.tolist()))
+        return (self.problem_id, self.candidate_ids, self.answers, self.answer_keys,
+                self.labels, disc, gen, self.tokens)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(problem_id={self.problem_id!r}, "
+                f"candidates={self.candidates!r})")
+
+    def __reduce__(self):
+        return Problem._of_columns, (
+            self.problem_id, self.candidate_ids, self.answers, self.answer_keys,
+            self.labels, self.disc, self.gen, self.tokens)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 @dataclass(frozen=True)

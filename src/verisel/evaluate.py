@@ -28,7 +28,6 @@ import hashlib
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Optional, Sequence, Union
@@ -47,8 +46,7 @@ from .selection import (
     _resolve_m,
     _tally,
     _transform_fn,
-    candidate_gen_scores,
-    candidate_scores,
+    _transformed,
 )
 
 _PIPELINE_MODE = {"sc": "sc", "bon": "disc", "wsc": "disc", "pv": "disc", "gpv": "gen"}
@@ -309,25 +307,28 @@ def _kept(problem: Problem, slot, build, tag=None):
 def _candidate_values(problem: Problem, cfg: EvalConfig) -> Optional[np.ndarray]:
     """What cfg.method reads of each candidate, in pool order: BoN ranks
     (no-answer candidates take rank k and never win), transformed scores,
-    or gpv means; None for sc. Each is kept on the problem, per transform
-    (and M), after its first build. Raises as select_answer does."""
-    cands, transform = problem.candidates, cfg.transform
+    or gpv means; None for sc. Each is built from the problem's disc or gen
+    column and kept on the problem, per transform (and M), after its first
+    build. Raises as select_answer does."""
+    transform, ids = cfg.transform, problem.candidate_ids
     if cfg.method == "sc":
         return None
     if cfg.method == "bon":
         def ranks():
-            ranked = _bon_ranking(cands, candidate_scores(cands, "raw"))
-            place = {c.candidate_id: i for i, c in enumerate(ranked)}
-            return np.array([place.get(c.candidate_id, len(cands)) for c in cands],
-                            np.int32)
+            columns = problem.answer_columns
+            ranked = _bon_ranking(ids, _transformed(problem.disc, "raw").tolist(),
+                                  columns.codes.tolist(), columns.none_code)
+            rank = np.full(len(ids), len(ids), np.int32)
+            rank[np.array(ranked, np.intp)] = np.arange(len(ranked))
+            return rank
         return _kept(problem, "bon", ranks)
     if cfg.method == "gpv":
         gen = _kept(problem, ("gen", transform),
-                    lambda: candidate_gen_scores(cands, transform))
-        m = _resolve_m(gen, cfg.m_verifications)
-        return _kept(problem, ("gpv", transform, m), lambda: _gen_means(gen, m))
+                    lambda: _transformed(problem.gen, transform))
+        m = _resolve_m({gen.shape[1]}, cfg.m_verifications)
+        return _kept(problem, ("gpv", transform, m), lambda: _gen_means(gen, m, ids))
     return _kept(problem, ("disc", transform),
-                 lambda: np.array(list(candidate_scores(cands, transform).values())))
+                 lambda: _transformed(problem.disc, transform))
 
 
 class _PoolStack:
@@ -425,8 +426,7 @@ def _with_m(problems: Sequence[Problem], cfg: EvalConfig) -> EvalConfig:
     """
     if cfg.method != "gpv" or cfg.m_verifications is not None:
         return cfg
-    lengths = {len(p.candidates[0].gen_scores) for p in problems
-               if p.candidates[0].gen_scores}
+    lengths = {p.gen.shape[1] for p in problems if p.gen is not None}
     if len(lengths) > 1:
         raise ValueError(f"inconsistent M across problems (gen_scores lengths "
                          f"{sorted(lengths)}): give M")
@@ -488,6 +488,10 @@ def _map_problems(func, problems: Sequence[Problem], tasks: list[tuple],
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
         return [func(problems[part], *args) for part, *args in tasks]
+    # imported here: loading multiprocessing costs every process that has
+    # no pool to build
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_hold,
                                initargs=(problems,))
     try:
@@ -520,7 +524,7 @@ def bootstrap_accuracy(
     if not problems:
         raise ValueError("no problems")
     if exhaustive:
-        sizes = {len(p.candidates) for p in problems}
+        sizes = set(map(len, problems))
         if cfg.replacement:
             raise ValueError("exhaustive mode enumerates without replacement")
         if len(sizes) != 1:
@@ -583,10 +587,10 @@ def pass_at_n(problem: Problem, n: int) -> float:
     _check_int("n", n)
     if not problem.labeled:
         raise ValueError("labels required")
-    k = len(problem.candidates)
+    k = len(problem)
     if not 1 <= n <= k:
         raise ValueError(f"slate too large: n={n} > pool {k}")
-    c = sum(1 for cand in problem.candidates if cand.correct)
+    c = problem.labels.count(True)
     return 1.0 - math.comb(k - c, n) / math.comb(k, n)
 
 
@@ -617,8 +621,9 @@ def budget_curve(
     methods report m=0.
 
     Each problem's pipeline FLOPs are computed once per (mode, M) and
-    reused across the N grid. With jobs > 1 the points are split across
-    one process pool, which receives the problems once per worker.
+    reused across the N grid, from its token_stats, built once. With
+    jobs > 1 the points are split across one process pool, which receives
+    the problems once per worker.
     """
     if budget_mode not in ("flops", "latency"):
         raise ValueError(f"unknown budget mode: {budget_mode!r}")
@@ -639,14 +644,14 @@ def budget_curve(
             pipeline_costs[mode, m] = [
                 pipeline_flops(
                     solver_cfg, verifier_cfg,
-                    [c.token_stats for c in p.candidates], mode,
+                    p.token_stats, mode,
                     m_verifications=m,
                     verification_out_tokens=verification_out_tokens,
                 )
                 for p in problems
             ]
         per_problem = [
-            n * total / len(p.candidates)
+            n * total / len(p)
             for p, total in zip(problems, pipeline_costs[mode, m])
         ]
         return float(np.mean(per_problem))

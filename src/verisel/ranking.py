@@ -47,16 +47,12 @@ class ScoredGroup:
 
 
 def group_from_problem(problem: Problem) -> ScoredGroup:
-    """Build a ScoredGroup from a labeled, scored pool."""
-    cands = problem.candidates  # labeled and scored uniformly, as Problem checks
-    if cands[0].correct is None:
+    """Build a ScoredGroup from a labeled, scored pool's columns."""
+    if not problem.labeled:
         raise ValueError("labels required")
-    if cands[0].disc_score is None:
+    if problem.disc is None:
         raise ValueError("scores required")
-    return ScoredGroup(
-        scores=tuple(c.disc_score for c in cands),
-        labels=tuple(c.correct for c in cands),
-    )
+    return ScoredGroup(scores=tuple(problem.disc.tolist()), labels=problem.labels)
 
 
 def filter_learnable_groups(

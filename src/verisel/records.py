@@ -2,10 +2,11 @@
 
 One flat line-delimited format serves real data, synthetic data, and test
 fixtures: one JSON object per candidate, grouped by problem_id (contiguous
-or not). Ingestion canonicalizes answers and maps each record to a
-Candidate, whose errors (and TokenStats') ingest prefixes with the line
-number; Problem's errors name the problem. Emission is byte-stable so
-identical inputs produce identical files.
+or not). Ingestion canonicalizes answers and keeps each record as a row of
+its problem; the rows are checked as columns by core's rules (a record's
+fault is prefixed with its line number; a problem's names the problem) and
+become the Problem's columns, with no Candidate built. Emission is
+byte-stable so identical inputs produce identical files.
 """
 
 from __future__ import annotations
@@ -16,20 +17,33 @@ import logging
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import IO, Iterable, Sequence, Union
+from itertools import repeat
+from typing import IO, Iterable, Optional, Sequence, Union
 
-from .core import Candidate, IngestError, Problem, TokenStats, canonicalize_answer
+import numpy as np
+
+from .core import (
+    _TOKEN_FIELDS,
+    Candidate,
+    IngestError,
+    Problem,
+    TokenStats,
+    _candidate_fault,
+    _check_problem,
+    _token_fault,
+    canonicalize_answer,
+)
 from .costs import FlopsBreakdown
 from .evaluate import BootstrapReport, BudgetPoint
 
 log = logging.getLogger("verisel")
 
-# TokenStats' fields, which records spell the same way, and their defaults.
-_TOKEN_FIELDS = tuple(f.name for f in fields(TokenStats))
-_TOKEN_DEFAULTS = tuple(f.default for f in fields(TokenStats))
-RECORD_FIELDS = (
-    "problem_id", "candidate_id", "answer", "correct", "disc_score", "gen_scores",
-) + _TOKEN_FIELDS
+# A row holds a record's line, then these fields (TokenStats' fields,
+# which records spell the same way), or their defaults when absent.
+_ROW_FIELDS = ("candidate_id", "answer", "correct", "disc_score", "gen_scores",
+               *_TOKEN_FIELDS)
+_ROW_DEFAULTS = (None,) * 5 + tuple(f.default for f in fields(TokenStats))
+RECORD_FIELDS = ("problem_id",) + _ROW_FIELDS
 _KNOWN_FIELDS = frozenset(RECORD_FIELDS)
 
 Source = Union[str, Path, IO[str]]
@@ -84,29 +98,54 @@ def _parse_line(lineno: int, line: str) -> dict:
     return record
 
 
-def _candidate_of(
-    lineno: int, record: dict, canon: str, keys: dict[str, str]
-) -> Candidate:
-    """The record's Candidate; keys caches canonicalize_answer per raw answer."""
-    raw = record.get("answer")
-    raw = "" if raw is None else raw  # null or absent: no answer
-    try:
-        key = ""  # Candidate rejects an answer that is not text
-        if isinstance(raw, str):
-            key = keys.get(raw)
-            if key is None:
-                key = keys[raw] = canonicalize_answer(raw, canon)
-        return Candidate(
-            candidate_id=record["candidate_id"],
-            answer_raw=raw,
-            answer_key=key,
-            correct=record.get("correct"),
-            disc_score=record.get("disc_score"),
-            gen_scores=record.get("gen_scores"),
-            token_stats=TokenStats(*map(record.get, _TOKEN_FIELDS, _TOKEN_DEFAULTS)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise IngestError(f"line {lineno}: {exc}") from None
+class _Keys(dict):
+    """Raw answer -> canonical key, canonicalized on first lookup."""
+
+    def __init__(self, canon: str):
+        super().__init__()
+        self.canon = canon
+
+    def __missing__(self, raw: str) -> str:
+        key = self[raw] = canonicalize_answer(raw, self.canon)
+        return key
+
+
+def _columns(rows: Sequence[tuple], keys: _Keys) -> tuple:
+    """A problem's rows as record columns: lines, candidate ids, answers
+    ("" for null or absent), answer keys ("" where the answer is not text,
+    which the rules refuse), then the rest of _ROW_FIELDS."""
+    lines, ids, answers, *rest = zip(*rows)
+    raws = tuple("" if raw is None else raw for raw in answers)
+    return (lines, ids, raws,
+            tuple(keys[raw] if isinstance(raw, str) else "" for raw in raws), *rest)
+
+
+def _record_fault(columns: Sequence[tuple]) -> Optional[str]:
+    """Record columns' first fault, as a record is checked: its token
+    counts, then its candidate."""
+    return _token_fault(*columns[7:]) or _candidate_fault(*columns[1:7])
+
+
+def _check_records(pools: dict[str, Sequence[tuple]]) -> None:
+    """Raise the IngestError of the first record, in line order, that breaks
+    a rule of a valid candidate; pools holds each problem's record columns.
+    Each problem is checked in bulk, and only a failing one row by row."""
+    bad = [columns for columns in pools.values() if _record_fault(columns)]
+    for row in sorted(row for columns in bad for row in zip(*columns)):
+        fault = _record_fault([(value,) for value in row])
+        if fault:
+            raise IngestError(f"line {row[0]}: {fault}")
+
+
+def _problem_of(problem_id: str, columns: Sequence[tuple]) -> Problem:
+    _, ids, raws, keys, labels, discs, gens, *tokens = columns
+    _check_problem(problem_id, ids, keys, labels, discs, gens)
+    return Problem._of_columns(
+        problem_id, ids, raws, keys, labels,
+        None if discs[0] is None else np.array(discs, float),
+        None if gens[0] is None else np.array(gens, float),
+        tuple(tokens),
+    )
 
 
 def ingest(source: Source, canon: str = "exact") -> list[Problem]:
@@ -115,40 +154,52 @@ def ingest(source: Source, canon: str = "exact") -> list[Problem]:
     Candidates sharing a problem_id are pooled whether or not their lines
     are contiguous; first-seen order of problems and candidates is kept.
     Unknown fields are ignored with one warning per field name. Each
-    distinct answer text is canonicalized once per call.
+    distinct answer text is canonicalized once per call. Each record is
+    kept as one row of its problem; at the end of the input (or at a line
+    that is not a record) the rows are checked as columns, problem by
+    problem, and the first bad record in line order names its line. Then
+    each problem's rules are checked, and it is built from its columns.
     """
     stream, owned = _open_source(source)
-    pools: dict[str, list[Candidate]] = {}
-    keys: dict[str, str] = {}  # raw answer -> canonical key, for this call only
+    pools: dict[str, list] = {}
+    keys = _Keys(canon)  # for this call only
     warned: set[str] = set()
     try:
         for lineno, line in enumerate(stream, 1):
             if not line.strip():
                 continue
-            record = _parse_line(lineno, line)
+            try:
+                record = _parse_line(lineno, line)
+            except IngestError:  # the records before it are checked first
+                _check_records({pid: _columns(rows, keys)
+                                for pid, rows in pools.items()})
+                raise
             if not _KNOWN_FIELDS.issuperset(record):
                 for key in record.keys() - _KNOWN_FIELDS:
                     if key not in warned:
                         warned.add(key)
                         log.warning("ignoring unknown record field %r", key)
-            pools.setdefault(record["problem_id"], []).append(
-                _candidate_of(lineno, record, canon, keys)
-            )
+            row = (lineno, *map(record.get, _ROW_FIELDS, _ROW_DEFAULTS))
+            pool = pools.get(record["problem_id"])
+            if pool is None:
+                pools[record["problem_id"]] = [row]
+            else:
+                pool.append(row)
     finally:
         if owned:
             stream.close()
 
     if not pools:
         raise IngestError("no problems")
-    return [
-        Problem(problem_id=problem_id, candidates=tuple(candidates))
-        for problem_id, candidates in pools.items()
-    ]
+    for problem_id, rows in pools.items():  # rows become columns in place
+        pools[problem_id] = _columns(rows, keys)
+    _check_records(pools)
+    return [_problem_of(pid, pools.pop(pid)) for pid in list(pools)]
 
 
 def ingest_stats(problems: Sequence[Problem]) -> IngestStats:
-    total = sum(len(p.candidates) for p in problems)
-    labeled = sum(len(p.candidates) for p in problems if p.labeled)
+    total = sum(map(len, problems))
+    labeled = sum(len(p) for p in problems if p.labeled)
     return IngestStats(
         problems=len(problems),
         candidates=total,
@@ -156,33 +207,38 @@ def ingest_stats(problems: Sequence[Problem]) -> IngestStats:
     )
 
 
-def record_of(problem_id: str, candidate: Candidate) -> dict:
+def _record(problem_id: str, candidate_id: str, answer: str, correct, disc, gen,
+            *tokens) -> dict:
     """One emission-ready record; defaults and absent fields are omitted."""
-    st = candidate.token_stats
-    record: dict = {
-        "problem_id": problem_id,
-        "candidate_id": candidate.candidate_id,
-    }
-    if candidate.answer_raw:
-        record["answer"] = candidate.answer_raw
-    if candidate.correct is not None:
-        record["correct"] = candidate.correct
-    if candidate.disc_score is not None:
-        record["disc_score"] = candidate.disc_score
-    if candidate.gen_scores is not None:
-        record["gen_scores"] = candidate.gen_scores
-    for name in ("prompt_tokens", "output_tokens", "solution_tokens"):
-        if getattr(st, name):
-            record[name] = getattr(st, name)
-    for name in ("reasoning_budget", "verification_out_tokens"):
-        if getattr(st, name) is not None:
-            record[name] = getattr(st, name)
+    record: dict = {"problem_id": problem_id, "candidate_id": candidate_id}
+    if answer:
+        record["answer"] = answer
+    if correct is not None:
+        record["correct"] = correct
+    if disc is not None:
+        record["disc_score"] = disc
+    if gen is not None:
+        record["gen_scores"] = gen
+    for name, value in zip(_TOKEN_FIELDS[:3], tokens):  # counts: 0 is the default
+        if value:
+            record[name] = value
+    for name, value in zip(_TOKEN_FIELDS[3:], tokens[3:]):
+        if value is not None:
+            record[name] = value
     return record
+
+
+def record_of(problem_id: str, candidate: Candidate) -> dict:
+    """One emission-ready record of a Candidate, as write_records writes it."""
+    st = candidate.token_stats
+    return _record(problem_id, candidate.candidate_id, candidate.answer_raw,
+                   candidate.correct, candidate.disc_score, candidate.gen_scores,
+                   *(getattr(st, name) for name in _TOKEN_FIELDS))
 
 
 # The C encoder json.dumps builds on every call, built once with its
 # defaults and its TypeError; no circular check (markers=None), since
-# record_of's records are acyclic.
+# _record's records are acyclic.
 _encode = json.encoder.c_make_encoder(
     None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
     None, ": ", ", ", False, False, True,
@@ -191,11 +247,15 @@ _encode = json.encoder.c_make_encoder(
 
 def write_records(problems: Iterable[Problem], stream: IO[str]) -> None:
     """Emit problems in the ingestible line format, full float precision:
-    each record's line is json.dumps(record), one write per problem."""
+    each record's line is json.dumps(record), one write per problem. Reads
+    each problem's columns."""
     for problem in problems:
         chunks: list[str] = []
-        for candidate in problem.candidates:
-            chunks += _encode(record_of(problem.problem_id, candidate), 0)
+        disc = repeat(None) if problem.disc is None else problem.disc.tolist()
+        gen = repeat(None) if problem.gen is None else problem.gen.tolist()
+        for row in zip(problem.candidate_ids, problem.answers, problem.labels,
+                       disc, gen, *problem.tokens):
+            chunks += _encode(_record(problem.problem_id, *row), 0)
             chunks.append("\n")
         stream.write("".join(chunks))
 

@@ -16,21 +16,22 @@ seeded generator is passed, in which case a tied winner is drawn uniformly.
 This module is the only statement of what a rule decides: objectives
 (_objective), per-candidate scores, BoN's order (_bon_ranking) and one
 kernel (_tally) that aggregates clusters and picks by objective, then tie
-order. select_answer runs it on Problem.answer_columns, the select_*
-functions are thin wrappers that lay their dicts out as such columns, and
-evaluate.py runs it on batches of slates.
+order. select_answer runs it on a Problem's columns (answer_columns,
+disc, gen), the select_* functions are thin wrappers that lay their dicts
+out as such columns, and evaluate.py runs it on batches of slates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .core import (
-    NO_ANSWER_KEY,
     AnswerCluster,
     AnswerColumns,
     Candidate,
@@ -38,8 +39,8 @@ from .core import (
     Problem,
     _answer_columns,
     _check_int,
+    _check_number,
     _floats,
-    _sum_in_order,
 )
 
 DEFAULT_PV_ALPHA = 0.5
@@ -90,6 +91,17 @@ def _transform_fn(transform: str):
         raise ValueError(f"unknown score transform: {transform!r}") from None
 
 
+def _transformed(scores: Optional[np.ndarray], transform: str) -> np.ndarray:
+    """A pool's disc or gen column under the named transform, applied
+    element by element; ValueError when the pool carries no such scores."""
+    fn = _transform_fn(transform)
+    if scores is None:
+        raise ValueError("scores required")
+    if transform == "raw":
+        return scores
+    return np.array(list(map(fn, scores.ravel().tolist()))).reshape(scores.shape)
+
+
 @dataclass(frozen=True)
 class ClusterDiagnostic:
     """Per-cluster view of one selection run.
@@ -138,6 +150,7 @@ def _objective(method: str, n_total: int = 1, alpha: float = 0.0, m: int = 1):
         return lambda total, n_a: (None, total)
     if n_total < 1:
         raise ValueError(f"invalid pool size: {n_total}")
+    _check_number("alpha", alpha)
     log_nm = math.log(n_total * m)
     # NaN, negative, infinite, or so large that alpha * psi_a could overflow
     if not (0 <= alpha < math.inf and alpha * log_nm < math.inf):
@@ -150,14 +163,13 @@ def _objective(method: str, n_total: int = 1, alpha: float = 0.0, m: int = 1):
     return pessimistic
 
 
-def _resolve_m(gen_scores: Mapping[str, Sequence[float]],
-               m_verifications: Optional[int]) -> int:
-    """gpv's M: m_verifications, else the one length all score rows share."""
-    lengths = {len(v) for v in gen_scores.values()}
+def _resolve_m(lengths: set[int], m_verifications: Optional[int]) -> int:
+    """gpv's M: m_verifications, else the one length all score rows share;
+    lengths holds the rows' lengths."""
     if m_verifications is None:
         if len(lengths) != 1:
             raise ValueError("inconsistent M")
-        m_verifications = lengths.pop()
+        (m_verifications,) = lengths
     else:
         _check_int("m_verifications", m_verifications)
     if m_verifications < 1 or any(n < m_verifications for n in lengths):
@@ -165,30 +177,29 @@ def _resolve_m(gen_scores: Mapping[str, Sequence[float]],
     return m_verifications
 
 
-def _gen_means(
-    gen_scores: Mapping[str, Sequence[float]], m: int
-) -> np.ndarray:
-    """Each candidate's gpv score r~_i, the mean of its first m pass scores,
-    in the map's order. A mean that overflows, the one way a cluster total
-    could be NaN, fails."""
-    means = [_sum_in_order(s[:m]) / m for s in gen_scores.values()]
-    for cid, mean in zip(gen_scores, means):
-        if not math.isfinite(mean):
-            raise ValueError(f"candidate {cid!r}: gen_scores mean overflows to {mean}")
-    return np.array(means)
+def _gen_means(gen: np.ndarray, m: int, ids: Sequence[str]) -> np.ndarray:
+    """Each candidate's gpv score r~_i, the mean of its first m pass scores
+    (gen holds a row of at least m per candidate), added left to right. A
+    mean that overflows, the one way a cluster total could be NaN, fails."""
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(m):
+            total = total + gen[:, j]
+        means = total / m
+    bad = np.flatnonzero(~np.isfinite(means))
+    if bad.size:
+        raise ValueError(f"candidate {ids[bad[0]]!r}: gen_scores mean overflows "
+                         f"to {float(means[bad[0]])}")
+    return means
 
 
-def _bon_ranking(
-    candidates: Sequence[Candidate], scores: Mapping[str, float]
-) -> list[Candidate]:
-    """BoN's candidate order: highest score first, then lowest candidate_id.
-
-    Candidates without an extracted answer are left out; they never win.
-    """
-    return sorted(
-        (c for c in candidates if c.cluster_key != NO_ANSWER_KEY),
-        key=lambda c: (-scores[c.candidate_id], c.candidate_id),
-    )
+def _bon_ranking(ids: Sequence[str], scores: Sequence[float],
+                 codes: Sequence[int], none_code: int) -> list[int]:
+    """BoN's candidate order, as positions: highest score first, then lowest
+    candidate_id. Candidates without an extracted answer (answer code
+    none_code) are left out; they never win."""
+    return sorted((i for i, code in enumerate(codes) if code != none_code),
+                  key=lambda i: (-scores[i], ids[i]))
 
 
 def _tally(codes: np.ndarray, values: Optional[np.ndarray], width: int,
@@ -221,37 +232,36 @@ def _tally(codes: np.ndarray, values: Optional[np.ndarray], width: int,
     return counts, totals, penalty, value, pick
 
 
-def _run(method: str, candidates: Sequence[Candidate], columns: AnswerColumns,
-         scores: Optional[Mapping], alpha: Optional[float] = None,
+def _run(method: str, ids: Optional[Sequence[str]], columns: AnswerColumns,
+         values: Optional[np.ndarray], alpha: Optional[float] = None,
          m_verifications: Optional[int] = None,
          rng: Optional[np.random.Generator] = None) -> SelectionResult:
-    """method on one pool laid out as columns; scores maps each candidate,
-    in pool order, to its valid score (gpv: pass scores). A cluster rule is
-    _tally on one row, and rng draws among clusters tied on objective, in
-    cluster order (support descending, key ascending), the diagnostics'
-    order. BoN's cluster objective is the first highest score."""
+    """method on one pool laid out as columns: candidate ids (bon and gpv
+    read them), answer columns and what the rule reads of each candidate,
+    in pool order (sc:
+    raw disc scores or None; gpv: rows of pass scores; else one valid
+    score). A cluster rule is _tally on one row, and rng draws among
+    clusters tied on objective, in cluster order (support descending, key
+    ascending), the diagnostics' order. BoN's cluster objective is the
+    first highest score."""
     m = winner = None
+    column = values
     if method == "bon":
-        ranked = _bon_ranking(candidates, scores)
+        scores, codes = values.tolist(), columns.codes.tolist()
+        ranked = _bon_ranking(ids, scores, codes, columns.none_code)
         if not ranked:
             raise EmptyPoolError("no selectable answers in pool")
-        tied = [c for c in ranked
-                if scores[c.candidate_id] == scores[ranked[0].candidate_id]]
+        tied = [i for i in ranked if scores[i] == scores[ranked[0]]]
         winner = tied[0] if rng is None else tied[int(rng.integers(len(tied)))]
-        column, value, penalty = np.array(list(scores.values())), {}, None
-        for code, score in zip(columns.codes.tolist(), column.tolist()):
+        value, penalty = {}, None
+        for code, score in zip(codes, scores):
             value[code] = max(value.get(code, score), score)
         counts, totals = (np.bincount(columns.codes, w, len(columns.keys)).tolist()
                           for w in (None, column))
     else:
-        if method == "sc":
-            raw = [c.disc_score for c in candidates]
-            column = None if None in raw else np.array(raw)
-        elif method == "gpv":
-            m = _resolve_m(scores, m_verifications)
-            column = _gen_means(scores, m)
-        else:
-            column = np.array(list(scores.values()))
+        if method == "gpv":
+            m = _resolve_m({values.shape[1]}, m_verifications)
+            column = _gen_means(values, m, ids)
         tally = _tally(columns.codes[None], None if column is None else column[None],
                        len(columns.keys), np.array([columns.none_code]),
                        _objective(method, len(columns.codes), alpha, m or 1))
@@ -271,8 +281,8 @@ def _run(method: str, candidates: Sequence[Candidate], columns: AnswerColumns,
         for c in sorted(range(len(counts)), key=lambda c: -counts[c])
     )
     if winner is not None:
-        return SelectionResult(method, winner.cluster_key, winner.candidate_id,
-                               diagnostics)
+        return SelectionResult(method, columns.keys[columns.codes[winner]],
+                               ids[winner], diagnostics)
     chosen = columns.keys[pick]
     if rng is not None:
         tied = [d.answer_key for d in diagnostics if d.objective == value[pick]]
@@ -282,10 +292,10 @@ def _run(method: str, candidates: Sequence[Candidate], columns: AnswerColumns,
 
 
 def _checked(candidates: Sequence[Candidate], scores: Optional[Mapping],
-             rows: bool = False) -> dict:
+             rows: bool = False) -> list:
     """Each candidate's entry in scores (None: raw disc_scores) as float(s),
-    checked by core._floats, one score or, with rows, a row of them; a
-    ValueError names the first bad one."""
+    in order, checked by core._floats, one score or, with rows, a row of
+    them; a ValueError names the first bad one."""
     if scores is None:
         scores = candidate_scores(candidates, "raw")
     try:
@@ -298,16 +308,25 @@ def _checked(candidates: Sequence[Candidate], scores: Optional[Mapping],
                            if _floats(e if rows else (e,)) is None)
         what = "gen_scores must be finite numbers" if rows else "score must be a finite number"
         raise ValueError(f"candidate {cand.candidate_id!r}: {what}, got {entry!r}")
-    return dict(zip((c.candidate_id for c in candidates), checked))
+    return list(checked)
 
 
-def _laid_out(clusters: Sequence[AnswerCluster]
-              ) -> tuple[list[Candidate], AnswerColumns]:
-    """The clusters' members, cluster by cluster, and their answer columns."""
-    if not clusters:
+_CANDIDATE_ID, _CLUSTER_KEY, _LABEL, _DISC = map(
+    attrgetter, ("candidate_id", "cluster_key", "correct", "disc_score"))
+
+
+def _laid_out(candidates: Sequence[Candidate]) -> AnswerColumns:
+    """The candidates' answer columns."""
+    if not candidates:
         raise EmptyPoolError("empty pool")
-    members = [c for cl in clusters for c in cl.members]
-    return members, _answer_columns(members)
+    labeled = candidates[0].correct is not None
+    return _answer_columns(list(map(_CLUSTER_KEY, candidates)),
+                           list(map(_LABEL, candidates)) if labeled else None)
+
+
+def _members(clusters: Sequence[AnswerCluster]) -> list[Candidate]:
+    """The clusters' members, cluster by cluster."""
+    return [c for cl in clusters for c in cl.members]
 
 
 def select_sc(
@@ -315,7 +334,10 @@ def select_sc(
     rng: Optional[np.random.Generator] = None,
 ) -> SelectionResult:
     """Self-consistency: plurality vote over answer clusters."""
-    return _run("sc", *_laid_out(clusters), None, rng=rng)
+    members = _members(clusters)
+    columns = _laid_out(members)
+    raw = list(map(_DISC, members))
+    return _run("sc", None, columns, None if None in raw else np.array(raw), rng=rng)
 
 
 def select_bon(
@@ -328,10 +350,9 @@ def select_bon(
     Candidates without an extracted answer never win; ties go to the lowest
     candidate_id (or a seeded draw when rng is given).
     """
-    if not candidates:
-        raise EmptyPoolError("empty pool")
-    return _run("bon", candidates, _answer_columns(candidates),
-                _checked(candidates, scores), rng=rng)
+    columns = _laid_out(candidates)
+    return _run("bon", list(map(_CANDIDATE_ID, candidates)), columns,
+                np.array(_checked(candidates, scores)), rng=rng)
 
 
 def select_wsc(
@@ -340,8 +361,9 @@ def select_wsc(
     rng: Optional[np.random.Generator] = None,
 ) -> SelectionResult:
     """Weighted self-consistency: argmax of summed cluster score."""
-    members, columns = _laid_out(clusters)
-    return _run("wsc", members, columns, _checked(members, scores), rng=rng)
+    members = _members(clusters)
+    columns = _laid_out(members)
+    return _run("wsc", None, columns, np.array(_checked(members, scores)), rng=rng)
 
 
 def select_pv(
@@ -354,8 +376,10 @@ def select_pv(
 
     Objective: mean_score(a) - alpha * ln(N) / (n_a + 1), N = pool size.
     """
-    members, columns = _laid_out(clusters)
-    return _run("pv", members, columns, _checked(members, scores), alpha, rng=rng)
+    members = _members(clusters)
+    columns = _laid_out(members)
+    return _run("pv", None, columns, np.array(_checked(members, scores)), alpha,
+                rng=rng)
 
 
 def select_gpv(
@@ -372,9 +396,17 @@ def select_gpv(
     m_verifications scores only the first m_verifications are used, so one
     dataset can serve a sweep over M.
     """
-    members, columns = _laid_out(clusters)
-    return _run("gpv", members, columns, _checked(members, gen_scores, rows=True),
-                alpha, m_verifications, rng)
+    members = _members(clusters)
+    columns = _laid_out(members)
+    rows = _checked(members, gen_scores, rows=True)
+    lengths = set(map(len, rows))
+    m = _resolve_m(lengths, m_verifications)
+    if len(lengths) > 1:
+        rows = [row[:m] for row in rows]
+    width = len(rows[0])
+    gen = np.fromiter(chain.from_iterable(rows), float, len(rows) * width)
+    return _run("gpv", list(map(_CANDIDATE_ID, members)), columns,
+                gen.reshape(len(rows), width), alpha, m, rng)
 
 
 def select_answer(
@@ -392,12 +424,12 @@ def select_answer(
     """
     if method not in METHODS:
         raise ValueError(f"unknown selection method: {method!r}")
-    cands, scores = problem.candidates, None
+    values = problem.disc
     if method == "gpv":
-        scores = candidate_gen_scores(cands, transform)
+        values = _transformed(problem.gen, transform)
         alpha = DEFAULT_GPV_ALPHA if alpha is None else alpha
     elif method != "sc":
-        scores = candidate_scores(cands, "raw" if method == "bon" else transform)
+        values = _transformed(problem.disc, "raw" if method == "bon" else transform)
         alpha = DEFAULT_PV_ALPHA if alpha is None else alpha
-    return _run(method, cands, problem.answer_columns, scores,
+    return _run(method, problem.candidate_ids, problem.answer_columns, values,
                 alpha if method in ("pv", "gpv") else None, m_verifications, rng)

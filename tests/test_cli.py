@@ -9,7 +9,9 @@ import sys
 import pytest
 
 from verisel import MODEL_PRESETS, pipeline_flops, TokenStats
+from verisel import cli, records
 from verisel.cli import main
+from verisel.selection import METHODS
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -522,3 +524,42 @@ class TestBtlossOutputFile:
         assert doc["pass"] is True and doc["checks"] > 0
         code, stdout, _ = run(capsys, ["btloss", "--grad-check"])
         assert stdout == target.read_text()
+
+
+class TestColumnarEvaluate:
+    """verisel evaluate reads each Problem's columns: it builds no
+    Candidate, and at --jobs 1 it loads no process pool."""
+
+    def test_builds_no_candidate(self, capsys, tmp_path, monkeypatch):
+        data = simulate(capsys, tmp_path / "pools.jsonl", gen_verifications=2)
+        read = []
+
+        def ingest(*args, **kwargs):
+            problems = records.ingest(*args, **kwargs)
+            read.extend(problems)
+            return problems
+
+        monkeypatch.setattr(cli, "ingest", ingest)
+        for method in METHODS:
+            code, out, err = run(capsys, ["evaluate", "-i", data, "--method", method,
+                                          "-n", "2", "--draws", "5"])
+            assert code == 0, err
+        assert len(read) == 6 * len(METHODS)
+        assert not any("candidates" in vars(p) for p in read)
+
+    def test_jobs_1_loads_no_process_pool(self, tmp_path):
+        data, report = tmp_path / "pools.jsonl", tmp_path / "report.json"
+        script = "\n".join([
+            "import sys",
+            "import verisel, verisel.cli",
+            f"assert verisel.cli.main(['simulate', '-o', {str(data)!r}]) == 0",
+            f"assert verisel.cli.main(['--jobs', '1', 'evaluate', '-i', {str(data)!r},"
+            f" '--method', 'pv', '-n', '4', '--draws', '20',"
+            f" '-o', {str(report)!r}]) == 0",
+            "print('multiprocessing' in sys.modules)",
+        ])
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
+        assert json.loads(report.read_text())["method"] == "pv"

@@ -4,6 +4,7 @@ import builtins
 import collections
 import dataclasses
 import functools
+import io
 import itertools
 import math
 import re
@@ -32,15 +33,21 @@ from verisel import (
     flops_disc_verification,
     flops_generation,
     generate_pool,
+    group_from_problem,
+    ingest,
+    ingest_stats,
     pass_at_n,
+    pipeline_flops,
     select_answer,
     slate_rng,
+    write_records,
 )
 import verisel.core as core_module
 import verisel.evaluate as evaluate_module
 import verisel.selection as selection_module
 from verisel.costs import MODEL_PRESETS
 from verisel.evaluate import _eval_problems
+from verisel.records import records_text
 from verisel.selection import SCORE_TRANSFORMS
 
 import oracles
@@ -74,7 +81,8 @@ def executors(monkeypatch):
         def __exit__(self, *exc):
             self.shutdown()
 
-    monkeypatch.setattr("verisel.evaluate.ProcessPoolExecutor", InProcessPool)
+    # evaluate.py imports the pool class only when it builds a pool
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr("verisel.evaluate._held", evaluate_module._held)
     monkeypatch.setattr("verisel.evaluate.os.cpu_count", lambda: 3)
     return opened
@@ -318,7 +326,7 @@ class TestInOrderSums:
         assert sums == {"a": 0.5, "b": 0.0}
 
     def test_gen_means(self):
-        means = selection_module._gen_means({"c0": (1e16, 1.0, -1e16)}, 3)
+        means = selection_module._gen_means(np.array([[1e16, 1.0, -1e16]]), 3, ("c0",))
         assert means.tolist() == [0.0]
 
 
@@ -824,7 +832,9 @@ class TestBudgetCurve:
         monkeypatch.setattr(Problem, "answer_columns", columns)
         rng = np.random.default_rng(54)
         problems = [curve_problem(f"q{i}", rng, m=4) for i in range(4)]
-        pid_of = {id(p.candidates): p.problem_id for p in problems}
+        pid_of = {id(p.candidate_ids): p.problem_id for p in problems}
+        column_of = {id(getattr(p, name)): (p.problem_id, name)
+                     for p in problems for name in ("disc", "gen")}
         calls = collections.Counter()
 
         def count(name, tag):
@@ -836,9 +846,8 @@ class TestBudgetCurve:
 
             monkeypatch.setattr(evaluate_module, name, call)
 
-        count("candidate_scores", lambda cands, t: (pid_of[id(cands)], t))
-        count("candidate_gen_scores", lambda cands, t: (pid_of[id(cands)], t))
-        count("_bon_ranking", lambda cands, scores: (pid_of[id(cands)],))
+        count("_transformed", lambda scores, t: (*column_of[id(scores)], t))
+        count("_bon_ranking", lambda ids, *_: (pid_of[id(ids)],))
         count("_slate_key", lambda seed, pid: (pid,))
         points = budget_curve(
             problems, METHODS, n_grid=range(1, 7), m_grid=(1, 2, 4),
@@ -849,9 +858,9 @@ class TestBudgetCurve:
         assert built == [p.problem_id for p in problems]
         assert calls == collections.Counter(
             call for p in problems for call in (
-                ("candidate_scores", p.problem_id, "raw"),
-                ("candidate_scores", p.problem_id, "sigmoid"),
-                ("candidate_gen_scores", p.problem_id, "sigmoid"),
+                ("_transformed", p.problem_id, "disc", "raw"),
+                ("_transformed", p.problem_id, "disc", "sigmoid"),
+                ("_transformed", p.problem_id, "gen", "sigmoid"),
                 ("_bon_ranking", p.problem_id),
                 ("_slate_key", p.problem_id),
             )
@@ -970,7 +979,7 @@ class TestProcessPool:
             return wrapped(*args, **kwargs)
 
         monkeypatch.setattr(evaluate_module, "bootstrap_accuracy", wrapper)
-        monkeypatch.setattr(evaluate_module, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountedPool)
         monkeypatch.setattr("verisel.evaluate.os.cpu_count", lambda: 2)
         assert (wrapper(problems, cfg, jobs=2),
                 budget_curve(problems, jobs=2, **curve)) == serial
@@ -1020,7 +1029,7 @@ class TestKeptRuleInputs:
         assert problem._memo["slate key"][0] == 4
         arrays = [value for _, value in problem._memo.values()
                   if isinstance(value, np.ndarray)]
-        assert len(arrays) == 8
+        assert len(arrays) == 10
         assert not any(a.flags.writeable for a in arrays)
 
     def test_failed_build_keeps_nothing(self):
@@ -1049,6 +1058,66 @@ class TestKeptRuleInputs:
         assert all(p._memo for p in problems)
         assert [(repr(p), hash(p)) for p in problems] == before
         assert problems == [Problem(p.problem_id, p.candidates) for p in problems]
+
+
+class TestColumnarHotPaths:
+    """Ingested Problems hold their pools as columns: the rules, the slate
+    evaluator, ranking, emission and the ingest summary read them, and
+    none builds a Candidate."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """The classes core._unchecked builds, by name."""
+        made = collections.Counter()
+        unchecked = core_module._unchecked
+
+        def counted(cls, **values):
+            made[cls.__name__] += 1
+            return unchecked(cls, **values)
+
+        monkeypatch.setattr(core_module, "_unchecked", counted)
+        return made
+
+    def problems(self):
+        built = generate_pool(SynthSpec(
+            seed=3, n_problems=4, pool_size=8, p_correct=0.5, answer_space=2,
+            gen_verifications=2, verification_out_tokens=4))
+        return ingest(io.StringIO(records_text(built)))
+
+    def test_no_candidate_built(self, monkeypatch):
+        problems = self.problems()
+        monkeypatch.setattr(Candidate, "__init__", None)  # no Candidate(...)
+        for method in METHODS:
+            for problem in problems:
+                select_answer(problem, method)
+            bootstrap_accuracy(problems, EvalConfig(n=3, method=method, draws=5))
+        for problem in problems:
+            group_from_problem(problem)
+        write_records(problems, io.StringIO())
+        assert ingest_stats(problems).candidates == 32
+        assert not any("candidates" in vars(p) for p in problems)
+        assert len(problems[0].candidates) == 8  # built when asked for
+        assert "candidates" in vars(problems[0])
+
+    def test_budget_curve_builds_token_stats_once(self, made, monkeypatch):
+        problems = self.problems()
+        seen = []
+
+        def counted(*args, **kwargs):
+            seen.append(args[2])
+            return pipeline_flops(*args, **kwargs)
+
+        monkeypatch.setattr("verisel.evaluate.pipeline_flops", counted)
+        points = budget_curve(
+            problems, METHODS, n_grid=(1, 2), m_grid=(1, 2), solver_cfg=SOLVER,
+            verifier_cfg=VERIFIER, cfg=EvalConfig(n=1, draws=5))
+        assert len(points) == 12
+        # sc, disc and gen at two M: four pricings per problem, of one tuple
+        assert len(seen) == 4 * len(problems)
+        assert {id(s) for s in seen} == {id(p.token_stats) for p in problems}
+        # equal counts share one TokenStats, built once per problem
+        assert made["TokenStats"] == len(problems)
+        assert not any("candidates" in vars(p) for p in problems)
 
 
 class TestCrossover:

@@ -19,16 +19,19 @@ from verisel import (
     Problem,
     SynthSpec,
     TokenStats,
+    VeriselError,
     canonicalize_answer,
     emit_report,
     flops_generation,
     generate_pool,
     ingest,
     ingest_stats,
+    select_answer,
 )
 from verisel.costs import ModelConfig
 from verisel import records
 from verisel.records import records_text, write_records
+from verisel.selection import METHODS
 
 from pools import random_problem
 
@@ -736,3 +739,83 @@ class TestBlankAnswers:
         with pytest.raises(ValueError, match="answer_key empty"):
             Candidate(candidate_id="c", answer_raw=" 42 ", answer_key="")
         assert Candidate(candidate_id="c", answer_raw=" \t").cluster_key == "<none>"
+
+
+def outcome(call):
+    """call()'s value, or its error's type and message."""
+    try:
+        return call()
+    except (VeriselError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def route_view(problem):
+    """What the two construction routes must agree on, besides ==, repr
+    and hash: answer columns, every rule's pick, and the emitted bytes."""
+    codes, none_code, correct, keys = problem.answer_columns
+    return (
+        codes.tolist(), none_code, None if correct is None else correct.tolist(),
+        keys,
+        [outcome(lambda: select_answer(problem, method)) for method in METHODS],
+        records_text([problem]),
+    )
+
+
+class TestConstructionRoutes:
+    """A Problem built in code from Candidates and the same pool read by
+    ingest (whose Problem holds columns and builds no Candidate) are one
+    value."""
+
+    def assert_same(self, built, read):
+        assert [p == q for p, q in zip(built, read)] == [True] * len(built)
+        assert repr(read) == repr(built)
+        assert [hash(p) for p in read] == [hash(p) for p in built]
+        assert [route_view(p) for p in read] == [route_view(p) for p in built]
+
+    @pytest.mark.parametrize("canon", ["exact", "numeric"])
+    def test_synthetic_pools(self, canon):
+        built = generate_pool(
+            SynthSpec(seed=8, n_problems=5, pool_size=9, p_correct=0.4,
+                      answer_space=3, gen_verifications=3,
+                      verification_out_tokens=5))
+        read = ingest_text(records_text(built), canon=canon)
+        assert not any("candidates" in vars(p) for p in read)
+        self.assert_same(built, read)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(RECORDS, st.sampled_from(("exact", "numeric")))
+    def test_drawn_records(self, drawn, canon):
+        """reference_ingest builds each Problem from Candidates; where the
+        records are valid, ingest's columns are the same Problem."""
+        text = "\n".join(record_line(i, d) for i, d in enumerate(drawn))
+        built = reference_ingest(text, canon)
+        if isinstance(built, str):  # an error; test_same_as_record_by_record
+            return
+        self.assert_same(built, ingest_text(text, canon=canon))
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"answer_raw": 5, "correct": "yes"}, "answer must be a string, got 5"),
+        ({"correct": "yes", "disc_score": math.nan},
+         "correct must be true or false, got 'yes'"),
+        ({"disc_score": True, "gen_scores": ()},
+         "disc_score must be a finite number, got True"),
+        ({"gen_scores": (), "answer_key": "<none>"},
+         "candidate 'c': gen_scores must be non-empty"),
+        ({"answer_raw": " 7 ", "correct": True},
+         "candidate 'c': answer_key empty but answer_raw is not blank"),
+    ], ids=["answer-then-label", "label-then-disc", "disc-then-gen",
+            "gen-then-reserved", "blank-then-label"])
+    def test_first_broken_rule_is_named(self, fields, message):
+        """A Candidate that breaks two rules is refused with the first, in
+        the order its docstring gives."""
+        with pytest.raises(ValueError) as excinfo:
+            Candidate(candidate_id="c", **fields)
+        assert str(excinfo.value).endswith(message)
+
+    def test_first_broken_token_rule_is_named(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "invalid token count: prompt_tokens=-1")):
+            TokenStats(prompt_tokens=-1, output_tokens=True, solution_tokens=2)
+        with pytest.raises(ValueError, match=re.escape(
+                "invalid token count: solution_tokens 3 > output_tokens 2")):
+            TokenStats(output_tokens=2, solution_tokens=3, reasoning_budget=-1)

@@ -241,6 +241,21 @@ class TestSelectPV:
             with pytest.raises(ValueError, match="invalid alpha"):
                 select_gpv(clusters(["A"]), {"c0": (0.5,)}, alpha=alpha)
 
+    @pytest.mark.parametrize("alpha", [None, "0.5", True, np.bool_(True), [0.5]])
+    def test_alpha_must_be_a_number(self, alpha):
+        # None and "0.5" once ended in a raw TypeError from the comparison,
+        # and True ran as alpha 1.0, reported as alpha=True
+        problem = pool(["A", "B"], [0.5, 0.25])
+        message = re.escape(f"alpha must be a number, got {alpha!r}")
+        with pytest.raises(ValueError, match=message):
+            select_pv(cluster_by_answer(problem), alpha=alpha)
+        with pytest.raises(ValueError, match=message):
+            select_gpv(cluster_by_answer(problem), {"c0": (0.5,), "c1": (0.5,)},
+                       alpha=alpha)
+        if alpha is not None:  # None: the rule's default
+            with pytest.raises(ValueError, match=message):
+                select_answer(problem, "pv", alpha=alpha)
+
     def test_unanswered_counts_toward_n(self):
         cands = (
             Candidate(candidate_id="c0", answer_raw="A", answer_key="A",

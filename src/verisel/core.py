@@ -273,15 +273,20 @@ class Candidate:
               gen_scores, token_stats)
 
 
-def _fill(candidate: Candidate, *values) -> None:
+def _fill(candidate: Candidate, candidate_id, answer_raw, answer_key, correct,
+          disc_score, gen_scores, token_stats) -> None:
     """Store a Candidate's fields, which were checked, and its cluster_key.
     Each is stored in field order, so the instance dict shares its keys
     with every other Candidate's (dict.update would give each its own)."""
     stored = candidate.__dict__
-    (stored["candidate_id"], stored["answer_raw"], stored["answer_key"],
-     stored["correct"], stored["disc_score"], stored["gen_scores"],
-     stored["token_stats"]) = values
-    stored["cluster_key"] = stored["answer_key"] or NO_ANSWER_KEY
+    stored["candidate_id"] = candidate_id
+    stored["answer_raw"] = answer_raw
+    stored["answer_key"] = answer_key
+    stored["correct"] = correct
+    stored["disc_score"] = disc_score
+    stored["gen_scores"] = gen_scores
+    stored["token_stats"] = token_stats
+    stored["cluster_key"] = answer_key or NO_ANSWER_KEY
 
 
 # What _check_problem reads of each Candidate, and its answer key.

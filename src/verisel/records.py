@@ -208,7 +208,7 @@ def ingest_stats(problems: Sequence[Problem]) -> IngestStats:
 
 
 def _record(problem_id: str, candidate_id: str, answer: str, correct, disc, gen,
-            *tokens) -> dict:
+            prompt: int, output: int, solution: int, budget, verify) -> dict:
     """One emission-ready record; defaults and absent fields are omitted."""
     record: dict = {"problem_id": problem_id, "candidate_id": candidate_id}
     if answer:
@@ -219,12 +219,16 @@ def _record(problem_id: str, candidate_id: str, answer: str, correct, disc, gen,
         record["disc_score"] = disc
     if gen is not None:
         record["gen_scores"] = gen
-    for name, value in zip(_TOKEN_FIELDS[:3], tokens):  # counts: 0 is the default
-        if value:
-            record[name] = value
-    for name, value in zip(_TOKEN_FIELDS[3:], tokens[3:]):
-        if value is not None:
-            record[name] = value
+    if prompt:
+        record["prompt_tokens"] = prompt
+    if output:
+        record["output_tokens"] = output
+    if solution:
+        record["solution_tokens"] = solution
+    if budget is not None:
+        record["reasoning_budget"] = budget
+    if verify is not None:
+        record["verification_out_tokens"] = verify
     return record
 
 
@@ -253,9 +257,11 @@ def write_records(problems: Iterable[Problem], stream: IO[str]) -> None:
         chunks: list[str] = []
         disc = repeat(None) if problem.disc is None else problem.disc.tolist()
         gen = repeat(None) if problem.gen is None else problem.gen.tolist()
-        for row in zip(problem.candidate_ids, problem.answers, problem.labels,
-                       disc, gen, *problem.tokens):
-            chunks += _encode(_record(problem.problem_id, *row), 0)
+        pid = problem.problem_id
+        for cid, raw, label, d, g, p, o, s, b, v in zip(
+                problem.candidate_ids, problem.answers, problem.labels, disc, gen,
+                *problem.tokens):
+            chunks += _encode(_record(pid, cid, raw, label, d, g, p, o, s, b, v), 0)
             chunks.append("\n")
         stream.write("".join(chunks))
 

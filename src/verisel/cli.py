@@ -27,16 +27,8 @@ from .costs import (
     pipeline_breakdown,
 )
 from .evaluate import EvalConfig, bootstrap_accuracy, budget_curve
-from .ranking import (
-    audit_gradient,
-    bt_loss,
-    bt_loss_gradient,
-    group_from_problem,
-    score_margin,
-)
 from .records import emit_report, ingest, ingest_stats, records_text
 from .selection import METHODS, SCORE_TRANSFORMS, select_answer
-from .synth import SynthSpec, generate_pool
 
 
 def _int_list(text: str) -> list[int]:
@@ -153,6 +145,14 @@ def cmd_cost(args: argparse.Namespace) -> int:
 
 
 def cmd_btloss(args: argparse.Namespace) -> int:
+    from .ranking import (
+        audit_gradient,
+        bt_loss,
+        bt_loss_gradient,
+        group_from_problem,
+        score_margin,
+    )
+
     if args.grad_check:
         checks, worst = audit_gradient(args.seed)
         ok = worst < 1e-5
@@ -191,6 +191,8 @@ def cmd_btloss(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .synth import SynthSpec, generate_pool
+
     spec = _from_flags(SynthSpec, args)
     _write_out(records_text(generate_pool(spec)), args.output)
     return 0

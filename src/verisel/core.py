@@ -14,7 +14,6 @@ import numbers
 import re
 import sys
 from dataclasses import FrozenInstanceError, dataclass, fields
-from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, repeat
 from operator import attrgetter, is_not, le
@@ -558,6 +557,8 @@ def canonicalize_answer(raw: str, mode: str = "exact") -> str:
     key = _WS_RUN.sub(" ", raw.strip())
     if mode == "exact" or not key:
         return key
+    from fractions import Fraction  # loaded only by numeric mode
+
     try:
         value = Fraction(_capped_exponent(key))
         if value.denominator == 1:

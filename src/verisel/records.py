@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from itertools import repeat
-from typing import IO, Iterable, Optional, Sequence, Union
+from typing import IO, TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,8 +33,10 @@ from .core import (
     _token_fault,
     canonicalize_answer,
 )
-from .costs import FlopsBreakdown
-from .evaluate import BootstrapReport, BudgetPoint
+
+if TYPE_CHECKING:  # the report types load with the module that makes them
+    from .costs import FlopsBreakdown
+    from .evaluate import BootstrapReport, BudgetPoint
 
 log = logging.getLogger("verisel")
 
@@ -280,6 +282,9 @@ def _sig6(value: float) -> float:
 def _plain(value):
     """A report as JSON-ready data: reports and breakdowns become dicts,
     wherever they sit, and every float goes through _sig6."""
+    from .costs import FlopsBreakdown
+    from .evaluate import BootstrapReport, BudgetPoint
+
     if isinstance(value, FlopsBreakdown):
         value = {k: float(v) for k, v in value.as_dict().items()}
     elif isinstance(value, (BootstrapReport, BudgetPoint)):
@@ -325,6 +330,9 @@ def emit_report(
     JSON array or CSV with the documented header; breakdowns and plain
     dicts, which may hold reports and breakdowns, as JSON.
     """
+    from .costs import FlopsBreakdown
+    from .evaluate import BootstrapReport
+
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown report format: {fmt!r}")
     if fmt == "json":

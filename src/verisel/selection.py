@@ -41,6 +41,7 @@ from .core import (
     _check_int,
     _check_number,
     _floats,
+    _unchecked,
 )
 
 DEFAULT_PV_ALPHA = 0.5
@@ -92,14 +93,19 @@ def _transform_fn(transform: str):
 
 
 def _transformed(scores: Optional[np.ndarray], transform: str) -> np.ndarray:
-    """A pool's disc or gen column under the named transform, applied
-    element by element; ValueError when the pool carries no such scores."""
-    fn = _transform_fn(transform)
+    """A pool's disc or gen column under the named transform, equal bit for
+    bit to applying it element by element; ValueError when the pool
+    carries no such scores."""
+    _transform_fn(transform)
     if scores is None:
         raise ValueError("scores required")
     if transform == "raw":
         return scores
-    return np.array(list(map(fn, scores.ravel().tolist()))).reshape(scores.shape)
+    # sigmoid() in bulk: its one math.exp call, on the same argument -|x|,
+    # then the same IEEE additions and divisions, on arrays
+    z = np.fromiter(map(math.exp, (-np.abs(scores)).ravel().tolist()),
+                    np.float64, scores.size).reshape(scores.shape)
+    return np.where(scores >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
 @dataclass(frozen=True)
@@ -270,8 +276,9 @@ def _run(method: str, ids: Optional[Sequence[str]], columns: AnswerColumns,
         if pick < 0:
             raise EmptyPoolError("no selectable answers in pool")
     none = columns.none_code
-    diagnostics = tuple(
-        ClusterDiagnostic(
+    diagnostics = tuple(  # of the kernel's plain ints and floats: no checks
+        _unchecked(
+            ClusterDiagnostic,
             answer_key=columns.keys[c],
             n_a=counts[c],
             sum_score=None if column is None else totals[c],

@@ -15,9 +15,11 @@ from verisel import (
     EmptyPoolError,
     EvalConfig,
     Problem,
+    SynthSpec,
     VeriselError,
     bootstrap_accuracy,
     cluster_by_answer,
+    generate_pool,
     select_answer,
     select_bon,
     select_gpv,
@@ -25,7 +27,13 @@ from verisel import (
     select_sc,
     select_wsc,
 )
-from verisel.selection import METHODS, candidate_scores, sigmoid
+from verisel.selection import (
+    METHODS,
+    ClusterDiagnostic,
+    _transformed,
+    candidate_scores,
+    sigmoid,
+)
 
 import oracles
 from pools import oracle_gen_view, oracle_view, random_problem
@@ -680,3 +688,64 @@ class TestCodeBuiltPools:
                 bootstrap_accuracy([problem], cfg)
             except (VeriselError, ValueError):
                 pass
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestBulkSigmoid:
+    """_transformed's sigmoid, applied to a whole column at once, gives
+    sigmoid()'s doubles bit for bit, the signed zeros and both ends of the
+    float range included."""
+
+    EDGES = (0.0, 5e-324, 1e-300, 1e-16, 0.5, 1.0, 36.7, 37.0, 709.78,
+             745.2, 1e308)
+
+    def element_by_element(self, scores: np.ndarray) -> np.ndarray:
+        return np.array([sigmoid(x) for x in scores.ravel().tolist()]
+                        ).reshape(scores.shape)
+
+    def test_sweep(self):
+        xs = np.array([sign * x for x in self.EDGES for sign in (1.0, -1.0)]
+                      + np.linspace(-50, 50, 2001).tolist())
+        assert (bits(_transformed(xs, "sigmoid"))
+                == bits(self.element_by_element(xs))).all()
+
+    def test_generated_columns(self):
+        (problem,) = generate_pool(SynthSpec(
+            seed=11, n_problems=1, pool_size=256, p_correct=0.5, gen_verifications=4,
+            verification_out_tokens=8))
+        for column in (problem.disc, problem.gen, 40 * problem.gen - 20):
+            got = _transformed(column, "sigmoid")
+            assert got.shape == column.shape
+            assert (bits(got) == bits(self.element_by_element(column))).all()
+
+    def test_raw_is_the_column(self):
+        column = np.array([-1.0, 2.0])
+        assert _transformed(column, "raw") is column
+
+
+class TestDiagnosticsBuilt:
+    """select_answer builds its ClusterDiagnostics without the dataclass
+    __init__; each still equals, hashes and prints as the one __init__
+    builds from the same fields, and stays frozen."""
+
+    def test_same_as_dataclass_built(self):
+        rng = np.random.default_rng(44)
+        for i in range(60):
+            problem = random_problem(rng, max_size=24)
+            if i % 6 == 0:  # unscored: sc's sums are None
+                problem = Problem("q", tuple(
+                    dataclasses.replace(c, disc_score=None)
+                    for c in problem.candidates))
+            for method in METHODS if i % 6 else ("sc",):
+                for d in select_answer(problem, method).cluster_diagnostics:
+                    built = ClusterDiagnostic(**{
+                        f.name: getattr(d, f.name) for f in dataclasses.fields(d)})
+                    assert d == built and built == d
+                    assert hash(d) == hash(built)
+                    assert repr(d) == repr(built)
+                    assert type(d.n_a) is int
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        d.n_a = 0

@@ -34,7 +34,7 @@ from .core import (
     canonicalize_answer,
 )
 
-if TYPE_CHECKING:  # the report types load with the module that makes them
+if TYPE_CHECKING:  # imported where read, so `import verisel` loads neither module
     from .costs import FlopsBreakdown
     from .evaluate import BootstrapReport, BudgetPoint
 

@@ -24,13 +24,20 @@ hold each slate's outcome to select_answer and to an independent oracle.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import itertools
 import math
 import os
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Optional, Sequence, Union
+
+try:  # CPython's built-in sha256: hashlib would load OpenSSL's libcrypto
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -158,7 +165,7 @@ class BudgetPoint:
 
 
 def _pid_hash(problem_id: str) -> int:
-    digest = hashlib.sha256(problem_id.encode("utf-8")).digest()
+    digest = sha256(problem_id.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -196,8 +203,12 @@ _CHUNK = 1 << 14
 
 
 def _slate_key(seed: int, problem_id: str) -> np.ndarray:
-    """slate_rng's Philox key for a problem, as numpy stores it."""
-    return np.random.Philox(key=[seed, _pid_hash(problem_id)]).state["state"]["key"]
+    """slate_rng's Philox key for a problem, as numpy stores it: the list
+    [seed, h] as an array, cast to uint64, which is what Philox(key=...)
+    does with a list (numpy.random._common.int_to_array). No generator is
+    built, so numpy.random is not loaded. Each pair is coerced on its own,
+    since numpy picks int64, uint64 or float64 per pair."""
+    return np.asarray([seed, _pid_hash(problem_id)]).astype(np.uint64)
 
 
 def _mulhilo(x: np.ndarray, mul: int) -> tuple[np.ndarray, np.ndarray]:

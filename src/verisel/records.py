@@ -3,17 +3,17 @@
 One flat line-delimited format serves real data, synthetic data, and test
 fixtures: one JSON object per candidate, grouped by problem_id (contiguous
 or not). Ingestion canonicalizes answers and keeps each record as a row of
-its problem; the rows are checked as columns by core's rules (a record's
-fault is prefixed with its line number; a problem's names the problem) and
-become the Problem's columns, with no Candidate built. Emission is
-byte-stable so identical inputs produce identical files.
+its problem; a problem's rows become columns when its run of lines ends,
+are checked as columns by core's rules (a record's fault is prefixed with
+its line number; a problem's names the problem) and become the Problem's
+columns, with no Candidate built. Emission is byte-stable so identical
+inputs produce identical files.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import logging
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -37,8 +37,6 @@ from .core import (
 if TYPE_CHECKING:  # imported where read, so `import verisel` loads neither module
     from .costs import FlopsBreakdown
     from .evaluate import BootstrapReport, BudgetPoint
-
-log = logging.getLogger("verisel")
 
 # A row holds a record's line, then these fields (TokenStats' fields,
 # which records spell the same way), or their defaults when absent.
@@ -100,26 +98,41 @@ def _parse_line(lineno: int, line: str) -> dict:
     return record
 
 
-class _Keys(dict):
-    """Raw answer -> canonical key, canonicalized on first lookup."""
+class _Answers(dict):
+    """Answer text -> (one copy of the text, shared by every record that
+    gives it, and its canonical key), canonicalized on first lookup."""
 
     def __init__(self, canon: str):
         super().__init__()
         self.canon = canon
 
-    def __missing__(self, raw: str) -> str:
-        key = self[raw] = canonicalize_answer(raw, self.canon)
-        return key
+    def __missing__(self, raw: str) -> tuple[str, str]:
+        entry = self[raw] = (raw, canonicalize_answer(raw, self.canon))
+        return entry
 
 
-def _columns(rows: Sequence[tuple], keys: _Keys) -> tuple:
+def _columns(rows: Sequence[tuple], answers: _Answers) -> tuple:
     """A problem's rows as record columns: lines, candidate ids, answers
     ("" for null or absent), answer keys ("" where the answer is not text,
     which the rules refuse), then the rest of _ROW_FIELDS."""
-    lines, ids, answers, *rest = zip(*rows)
-    raws = tuple("" if raw is None else raw for raw in answers)
-    return (lines, ids, raws,
-            tuple(keys[raw] if isinstance(raw, str) else "" for raw in raws), *rest)
+    lines, ids, raws, *rest = zip(*rows)
+    raws = ("" if raw is None else raw for raw in raws)
+    pairs = (answers[raw] if isinstance(raw, str) else (raw, "") for raw in raws)
+    return (lines, ids, *zip(*pairs), *rest)
+
+
+def _rows(columns: Sequence[tuple]) -> list[tuple]:
+    """Record columns as rows again, which _columns turns back into the
+    same columns."""
+    return list(zip(*columns[:3], *columns[4:]))
+
+
+def _all_columns(pools: dict[str, Union[list, tuple]], answers: _Answers) -> dict:
+    """pools, each problem's rows turned into its columns in place."""
+    for problem_id, pool in pools.items():
+        if isinstance(pool, list):
+            pools[problem_id] = _columns(pool, answers)
+    return pools
 
 
 def _record_fault(columns: Sequence[tuple]) -> Optional[str]:
@@ -156,16 +169,21 @@ def ingest(source: Source, canon: str = "exact") -> list[Problem]:
     Candidates sharing a problem_id are pooled whether or not their lines
     are contiguous; first-seen order of problems and candidates is kept.
     Unknown fields are ignored with one warning per field name. Each
-    distinct answer text is canonicalized once per call. Each record is
-    kept as one row of its problem; at the end of the input (or at a line
-    that is not a record) the rows are checked as columns, problem by
-    problem, and the first bad record in line order names its line. Then
-    each problem's rules are checked, and it is built from its columns.
+    distinct answer text is canonicalized once per call, and kept as one
+    string. Each record is kept as one row of its problem, and a problem's
+    rows become its columns when its run of lines ends; a problem whose
+    lines come back is re-opened as rows and stays rows to the end of the
+    input. There (or at a line that is not a record) the columns are
+    checked, problem by problem, and the first bad record in line order
+    names its line. Then each problem's rules are checked, and it is built
+    from its columns.
     """
     stream, owned = _open_source(source)
-    pools: dict[str, list] = {}
-    keys = _Keys(canon)  # for this call only
+    pools: dict[str, Union[list, tuple]] = {}  # rows, or columns
+    answers = _Answers(canon)  # for this call only
     warned: set[str] = set()
+    reopened: set[str] = set()
+    last = rows = None
     try:
         for lineno, line in enumerate(stream, 1):
             if not line.strip():
@@ -173,29 +191,34 @@ def ingest(source: Source, canon: str = "exact") -> list[Problem]:
             try:
                 record = _parse_line(lineno, line)
             except IngestError:  # the records before it are checked first
-                _check_records({pid: _columns(rows, keys)
-                                for pid, rows in pools.items()})
+                _check_records(_all_columns(pools, answers))
                 raise
             if not _KNOWN_FIELDS.issuperset(record):
                 for key in record.keys() - _KNOWN_FIELDS:
                     if key not in warned:
+                        import logging  # only here, so `import verisel` skips it
                         warned.add(key)
-                        log.warning("ignoring unknown record field %r", key)
-            row = (lineno, *map(record.get, _ROW_FIELDS, _ROW_DEFAULTS))
-            pool = pools.get(record["problem_id"])
-            if pool is None:
-                pools[record["problem_id"]] = [row]
-            else:
-                pool.append(row)
+                        logging.getLogger("verisel").warning(
+                            "ignoring unknown record field %r", key)
+            pid = record["problem_id"]
+            if pid != last:  # last's run of lines ends
+                if last is not None and last not in reopened:
+                    pools[last] = _columns(rows, answers)
+                rows = pools.get(pid)
+                if rows is None:
+                    rows = pools[pid] = []
+                elif isinstance(rows, tuple):
+                    rows = pools[pid] = _rows(rows)
+                    reopened.add(pid)
+                last = pid
+            rows.append((lineno, *map(record.get, _ROW_FIELDS, _ROW_DEFAULTS)))
     finally:
         if owned:
             stream.close()
 
     if not pools:
         raise IngestError("no problems")
-    for problem_id, rows in pools.items():  # rows become columns in place
-        pools[problem_id] = _columns(rows, keys)
-    _check_records(pools)
+    _check_records(_all_columns(pools, answers))
     return [_problem_of(pid, pools.pop(pid)) for pid in list(pools)]
 
 

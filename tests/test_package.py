@@ -1,7 +1,9 @@
 """The package's loading contract, checked in fresh interpreters where
 what is loaded matters: `import verisel` loads core and records only, a CLI
-command loads only the modules it runs, and every other public name and
-submodule loads on first access, looked up in its home module each time."""
+command loads only the modules it runs (evaluate and curve load neither
+numpy.random nor hashlib unless a draw goes through slate_rng), and every
+other public name and submodule loads on first access, looked up in its
+home module each time."""
 
 import subprocess
 import sys
@@ -35,8 +37,8 @@ class TestLoadedModules:
     def test_import_loads_core_and_records(self):
         out = run("import sys, verisel\n"
                   "print(sorted(m for m in sys.modules if m.startswith('verisel')))\n"
-                  "print('fractions' in sys.modules)")
-        assert out == "['verisel', 'verisel.core', 'verisel.records']\nFalse\n"
+                  "print([m for m in ('fractions', 'logging') if m in sys.modules])")
+        assert out == "['verisel', 'verisel.core', 'verisel.records']\n[]\n"
 
     def test_evaluate_loads_neither_ranking_nor_synth(self, tmp_path):
         data, report = tmp_path / "pools.jsonl", tmp_path / "report.json"
@@ -49,6 +51,30 @@ class TestLoadedModules:
         assert {"verisel.cli", "verisel.evaluate", "verisel.selection"} <= loaded
         assert not {"verisel.ranking", "verisel.synth"} & loaded
         assert '"method": "pv"' in report.read_text()
+
+    def test_slates_load_neither_numpy_random_nor_hashlib(self, tmp_path):
+        """Slate keys are formed without a generator and hashed with the
+        built-in sha256, so only a draw through slate_rng (here, with
+        replacement) loads numpy.random; a process pool loads none of them
+        either."""
+        data = tmp_path / "pools.jsonl"
+        data.write_text(records_text(generate_pool(SynthSpec(
+            seed=5, n_problems=3, pool_size=8, p_correct=0.5))))
+        heavy = {"numpy.random", "secrets", "hmac", "hashlib", "_hashlib"}
+        for command in (
+            ["--jobs", "1", "evaluate", "--method", "pv", "-n", "3"],
+            ["--jobs", "2", "curve", "--methods", "sc,pv", "--n-grid", "1,4",
+             "--budget", "latency"],
+        ):
+            done = python("-X", "importtime", "-m", "verisel", *command,
+                          "-i", str(data), "--draws", "40")
+            assert not heavy & imported(done.stderr), command
+        done = python("-X", "importtime", "-m", "verisel", "--jobs", "1",
+                      "evaluate", "-i", str(data), "--method", "sc", "-n", "3",
+                      "--draws", "40", "--replacement", "--format", "csv")
+        assert "numpy.random" in imported(done.stderr)
+        assert done.stdout == ("method,n,mean,ci_low,ci_high,draws,seed\n"
+                               "sc,3,0.383333,0.303833,0.462834,40,0\n")
 
 
 class TestLazyNames:

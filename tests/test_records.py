@@ -96,6 +96,54 @@ class TestIngest:
         assert [p.problem_id for p in problems] == ["b", "a"]
         assert len(problems[0].candidates) == 2
 
+    def test_problem_whose_lines_come_back(self):
+        """A, B, A: A's rows become columns when its first run ends, and are
+        re-opened for its second; a bad record there names its own line."""
+        lines = [
+            line(problem_id="A", candidate_id="a1", answer="7", correct=True,
+                 disc_score=0.5),
+            line(problem_id="A", candidate_id="a2", correct=False, disc_score=1.5),
+            line(problem_id="B", candidate_id="b1", answer=" 7", correct=False,
+                 disc_score=2.0),
+            line(problem_id="A", candidate_id="a3", answer=" 7", correct=True,
+                 disc_score=-1.0),
+            line(problem_id="A", candidate_id="a4", answer="8", correct=False,
+                 disc_score=0.25),
+        ]
+        a, b = ingest_text("\n".join(lines))
+        assert (a.problem_id, b.problem_id) == ("A", "B")
+        assert a.candidate_ids == ("a1", "a2", "a3", "a4")
+        assert a.answers == ("7", "", " 7", "8")
+        assert a.answer_keys == ("7", "", "7", "8")
+        assert a.labels == (True, False, True, False)
+        assert a.disc.tolist() == [0.5, 1.5, -1.0, 0.25]
+        assert (b.candidate_ids, b.answers, b.disc.tolist()) == (("b1",), (" 7",), [2.0])
+        assert records_text([a, b]) == "".join(
+            lines[i] + "\n" for i in (0, 1, 3, 4, 2))
+        bad = lines[:4] + [line(problem_id="A", candidate_id="a4", correct=False,
+                                disc_score="x")]
+        with pytest.raises(IngestError, match="^line 5: "):
+            ingest_text("\n".join(bad))
+        # also when a line that is not a record ends the input
+        with pytest.raises(IngestError, match="^line 5: "):
+            ingest_text("\n".join(bad + ["[1]"]))
+
+    def test_equal_answer_texts_share_one_string(self):
+        """Problems keep one string per distinct answer text; they equal,
+        print and write as Problems built in code do."""
+        lines = [line(problem_id=pid, candidate_id=cid, answer="42")
+                 for pid, cid in (("p", "c1"), ("q", "c1"), ("p", "c2"))]
+        p, q = ingest_text("\n".join(lines))
+        assert p.answers[0] is q.answers[0] is p.answers[1]
+        # a joined string, not the literal, which Python would share
+        built = [Problem(problem_id=pid, candidates=tuple(
+            Candidate(candidate_id=cid, answer_raw="".join(["4", "2"]), answer_key="42")
+            for cid in cids)) for pid, cids in (("p", ("c1", "c2")), ("q", ("c1",)))]
+        assert built[0].answers[0] is not built[1].answers[0]
+        assert [p, q] == built
+        assert repr([p, q]) == repr(built)
+        assert records_text([p, q]) == records_text(built)
+
     def test_numeric_canon_merges_clusters(self):
         text = "\n".join([
             line(candidate_id="c1", answer="0.5"),

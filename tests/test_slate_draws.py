@@ -1,7 +1,9 @@
 """Bulk slate draws against the draw contract, and the batch scorer at its
 edges: Lemire rejections, infinite cluster totals, out-of-range seeds."""
 
+import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +82,32 @@ class TestNumpyDrawContract:
                     assert sorted(unordered[t]) == sorted(want)
         assert slates >= 100_000
         assert redone <= slates // 1000
+
+    def test_key_is_philox_key(self):
+        """_slate_key forms the key Philox(key=[seed, h]) stores, without a
+        generator: dtype, shape, value and warnings, also for seeds past
+        EvalConfig's range, where numpy's coercion warns."""
+        warned = 0
+        for seed, pid in itertools.product(SEEDS + (2**63, 2**64 - 1),
+                                           problem_ids()):
+            with warnings.catch_warnings(record=True) as ours:
+                warnings.simplefilter("always")
+                got = _slate_key(seed, pid)
+            with warnings.catch_warnings(record=True) as numpys:
+                warnings.simplefilter("always")
+                want = np.random.Philox(key=[seed, _pid_hash(pid)]).state["state"]["key"]
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tolist() == want.tolist(), (seed, pid)
+            assert ([str(w.message) for w in ours]
+                    == [str(w.message) for w in numpys])
+            warned += bool(ours)
+        assert warned  # 2**64 - 1 with a low hash rounds to 2**64
+
+    @pytest.mark.parametrize("pid", ["prob-17", "q", "problème-ü→7", "日本" * 40,
+                                     "x" * 100_000])
+    def test_pid_hash_is_sha256(self, pid):
+        digest = hashlib.sha256(pid.encode("utf-8")).digest()
+        assert _pid_hash(pid) == int.from_bytes(digest[:8], "big")
 
     def test_stream_words_equal_random_raw(self):
         for seed, pid in itertools.product(SEEDS, problem_ids()):

@@ -173,7 +173,7 @@ def ingest(source: Source, canon: str = "exact") -> list[Problem]:
     string. Each record is kept as one row of its problem, and a problem's
     rows become its columns when its run of lines ends; a problem whose
     lines come back is re-opened as rows and stays rows to the end of the
-    input. There (or at a line that is not a record) the columns are
+    input. At the end (or at a line that is not a record) the columns are
     checked, problem by problem, and the first bad record in line order
     names its line. Then each problem's rules are checked, and it is built
     from its columns.

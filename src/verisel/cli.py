@@ -117,6 +117,8 @@ def cmd_cost(args: argparse.Namespace) -> int:
         problems = _read_problems(args)
         stats = [st for p in problems for st in p.token_stats]
     else:
+        if args.count < 0:  # [stats] * count would be an empty pool
+            raise ValueError(f"invalid count: {args.count}")
         out_tokens = (
             args.solution_tokens if args.output_tokens is None
             else args.output_tokens

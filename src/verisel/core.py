@@ -1,10 +1,11 @@
 """Core domain types: candidates, problems, and answer clusters.
 
 Everything here is an immutable value object plus pure functions over them,
-so pools can be evaluated concurrently without shared state. A Problem
-holds its pool as columns; the rules of a valid candidate and of a valid
-problem are stated once, on columns, and a Candidate built in code is
-checked as a one-row column.
+so pools can be evaluated concurrently without shared state. Every
+Problem stores its pool in one form, as columns, which one step checks and
+builds whether the pool was built in code or read by ingest; the rules of
+a valid candidate and of a valid problem are stated once, on columns, and
+a Candidate built in code is checked as a one-row column.
 """
 
 from __future__ import annotations
@@ -288,11 +289,6 @@ def _fill(candidate: Candidate, candidate_id, answer_raw, answer_key, correct,
     stored["cluster_key"] = answer_key or NO_ANSWER_KEY
 
 
-# What _check_problem reads of each Candidate, and its answer key.
-_CHECKED_FIELDS = attrgetter("candidate_id", "correct", "disc_score", "gen_scores")
-_ANSWER_KEY = attrgetter("answer_key")
-
-
 class AnswerColumns(NamedTuple):
     """A pool's answers as columns: each candidate's answer code (codes
     number the cluster keys in ascending order), the code of NO_ANSWER_KEY
@@ -321,8 +317,8 @@ def _answer_columns(keys: Sequence[str],
 
 def _check_problem(problem_id, ids, keys, labels, discs, gens) -> None:
     """The one statement of a valid problem, on its candidates' columns:
-    ids, answer keys (any iterable; read only when labels differ), labels,
-    and disc_score and gen_scores, each None where absent.
+    ids, answer keys, labels, and disc_score and gen_scores, each None
+    where absent.
 
     problem_id is a non-empty string, else ValueError. Then EmptyPoolError
     for no candidates, or IngestError on the first broken invariant, in
@@ -370,6 +366,31 @@ def _read_only(array: Optional[np.ndarray]) -> Optional[np.ndarray]:
     return array
 
 
+def _checked_columns(problem_id, ids: tuple, raws: tuple, keys: tuple, labels: tuple,
+                     discs: tuple, gens: tuple, *tokens: tuple) -> dict:
+    """The one check-and-build step of a Problem, for Problem() and ingest:
+    _check_problem on the columns (tokens are the five TokenStats columns),
+    then what a Problem stores of them, with disc and gen as read-only
+    float64 arrays (None when absent)."""
+    _check_problem(problem_id, ids, keys, labels, discs, gens)
+    size = len(ids)
+    disc = gen = None
+    if discs[0] is not None:
+        disc = _read_only(np.fromiter(discs, float, size))
+    if gens[0] is not None:  # one length M, checked
+        width = len(gens[0])
+        gen = _read_only(np.fromiter(chain.from_iterable(gens), float, size * width))
+        gen = gen.reshape(size, width)  # a read-only view
+    return dict(problem_id=problem_id, candidate_ids=ids, answers=raws,
+                answer_keys=keys, labels=labels, disc=disc, gen=gen, tokens=tokens)
+
+
+# What Problem() reads of each Candidate, and of each TokenStats.
+_CANDIDATE_FIELDS = attrgetter("candidate_id", "answer_raw", "answer_key", "correct",
+                               "disc_score", "gen_scores", "token_stats")
+_TOKEN_ROW = attrgetter(*_TOKEN_FIELDS)
+
+
 class Problem:
     """A pool of candidate solutions for one problem, held as columns.
 
@@ -377,24 +398,24 @@ class Problem:
     (raw text), answer_keys ("" for no answer) and labels; disc is a
     float64 (k,) array and gen a float64 (k, M) array, or None when the
     pool carries no such scores; tokens holds the five TokenStats fields as
-    columns of exact ints; token_stats holds each candidate's TokenStats.
-    Built in code from Candidates, a Problem keeps them and builds its
-    arrays on first use; ingest builds the columns, and candidates is built
-    on first use, with no second check. _check_problem states what is
-    valid, and nothing downstream checks it again. repr is that of a
-    dataclass of (problem_id, candidates); == and hash compare the columns,
-    which is == of the candidates. A Problem is immutable and pickles as
-    its columns.
+    columns of exact ints. Every Problem stores these columns, built by
+    _checked_columns, which checks them (_check_problem states what is
+    valid, and nothing downstream checks it again). Built in code, a
+    Problem reads its Candidates' fields into columns and keeps the
+    Candidates as candidates; built by ingest or unpickled, it builds
+    candidates from the columns on first use, with no second check.
+    token_stats holds each candidate's TokenStats, built on first use. repr
+    is that of a dataclass of (problem_id, candidates); == and hash compare
+    the columns, which is == of the candidates. A Problem is immutable and
+    pickles as its columns.
     """
 
     def __init__(self, problem_id: str, candidates: Iterable[Candidate]) -> None:
         candidates = tuple(candidates)
-        ids, labels, discs, gens = (
-            tuple(zip(*map(_CHECKED_FIELDS, candidates))) or ((),) * 4)
-        _check_problem(problem_id, ids, map(_ANSWER_KEY, candidates), labels,
-                       discs, gens)
-        self.__dict__.update(problem_id=problem_id, candidates=candidates,
-                             candidate_ids=ids, labels=labels)
+        *columns, stats = tuple(zip(*map(_CANDIDATE_FIELDS, candidates))) or ((),) * 7
+        tokens = zip(*map(_TOKEN_ROW, stats))
+        self.__dict__.update(_checked_columns(problem_id, *columns, *tokens),
+                             candidates=candidates)
 
     @classmethod
     def _of_columns(cls, problem_id: str, candidate_ids: tuple, answers: tuple,
@@ -421,36 +442,9 @@ class Problem:
         return tuple(candidates)
 
     @cached_property
-    def disc(self) -> Optional[np.ndarray]:
-        scores = [c.disc_score for c in self.candidates]
-        return _read_only(None if scores[0] is None else np.array(scores))
-
-    @cached_property
-    def gen(self) -> Optional[np.ndarray]:
-        rows = [c.gen_scores for c in self.candidates]
-        return _read_only(None if rows[0] is None else np.array(rows))
-
-    @cached_property
-    def answers(self) -> tuple[str, ...]:
-        return tuple(c.answer_raw for c in self.candidates)
-
-    @cached_property
-    def answer_keys(self) -> tuple[str, ...]:
-        return tuple(map(_ANSWER_KEY, self.candidates))
-
-    @cached_property
-    def tokens(self) -> tuple[tuple, ...]:
-        return tuple(zip(*[
-            [getattr(st, name) for name in _TOKEN_FIELDS] for st in self.token_stats
-        ]))
-
-    @cached_property
     def token_stats(self) -> tuple[TokenStats, ...]:
-        """Each candidate's TokenStats, built on first use: a Problem built in
-        code reads its candidates; ingest's builds them from the columns, and
+        """Each candidate's TokenStats, built from the columns on first use;
         candidates with equal counts share one."""
-        if "candidates" in vars(self):  # built in code
-            return tuple(c.token_stats for c in self.candidates)
         made: dict[tuple, TokenStats] = {}
         return tuple(
             made.get(row) or made.setdefault(

@@ -44,9 +44,8 @@ import numpy as np
 from .core import Problem, _check_int, _check_number
 from .costs import LatencyTable, ModelConfig, latency_lookup, pipeline_flops
 from .selection import (
-    DEFAULT_GPV_ALPHA,
-    DEFAULT_PV_ALPHA,
     METHODS,
+    _alpha_or_default,
     _bon_ranking,
     _gen_means,
     _objective,
@@ -102,9 +101,7 @@ class EvalConfig:
 
     @property
     def effective_alpha(self) -> float:
-        if self.alpha is not None:
-            return self.alpha
-        return DEFAULT_GPV_ALPHA if self.method == "gpv" else DEFAULT_PV_ALPHA
+        return _alpha_or_default(self.method, self.alpha)
 
 
 def _store_floats(report, *names: str) -> None:
@@ -172,8 +169,8 @@ def _pid_hash(problem_id: str) -> int:
 def slate_rng(seed: int, problem_id: str, draw: int) -> np.random.Generator:
     """The draw's private stream: the draw contract.
 
-    It is Philox4x64-10 at counter (0, 0, 0, draw), keyed by numpy's
-    coercion of the list [seed, h], where h is the first 8 bytes of the
+    It is Philox4x64-10 at counter (0, 0, 0, draw), keyed by _slate_key:
+    numpy's coercion of the list [seed, h], where h is the first 8 bytes of the
     problem id's sha256, big-endian. When exactly one of the two is at
     least 2**63, numpy goes through a float64 array, so the key keeps 53
     significant bits of each; that happens for about half of all ids.
@@ -184,9 +181,7 @@ def slate_rng(seed: int, problem_id: str, draw: int) -> np.random.Generator:
     for pools of more than 10,000 candidates and for the rare draw where
     Lemire's method rejects a word.
     """
-    bitgen = np.random.Philox(
-        counter=[0, 0, 0, draw], key=[seed, _pid_hash(problem_id)]
-    )
+    bitgen = np.random.Philox(counter=[0, 0, 0, draw], key=_slate_key(seed, problem_id))
     return np.random.Generator(bitgen)
 
 

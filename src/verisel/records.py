@@ -20,8 +20,6 @@ from pathlib import Path
 from itertools import repeat
 from typing import IO, TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
-import numpy as np
-
 from .core import (
     _TOKEN_FIELDS,
     Candidate,
@@ -29,7 +27,7 @@ from .core import (
     Problem,
     TokenStats,
     _candidate_fault,
-    _check_problem,
+    _checked_columns,
     _token_fault,
     canonicalize_answer,
 )
@@ -152,17 +150,6 @@ def _check_records(pools: dict[str, Sequence[tuple]]) -> None:
             raise IngestError(f"line {row[0]}: {fault}")
 
 
-def _problem_of(problem_id: str, columns: Sequence[tuple]) -> Problem:
-    _, ids, raws, keys, labels, discs, gens, *tokens = columns
-    _check_problem(problem_id, ids, keys, labels, discs, gens)
-    return Problem._of_columns(
-        problem_id, ids, raws, keys, labels,
-        None if discs[0] is None else np.array(discs, float),
-        None if gens[0] is None else np.array(gens, float),
-        tuple(tokens),
-    )
-
-
 def ingest(source: Source, canon: str = "exact") -> list[Problem]:
     """Read candidate records into validated Problems.
 
@@ -219,7 +206,8 @@ def ingest(source: Source, canon: str = "exact") -> list[Problem]:
     if not pools:
         raise IngestError("no problems")
     _check_records(_all_columns(pools, answers))
-    return [_problem_of(pid, pools.pop(pid)) for pid in list(pools)]
+    return [Problem._of_columns(**_checked_columns(pid, *pools.pop(pid)[1:]))
+            for pid in list(pools)]
 
 
 def ingest_stats(problems: Sequence[Problem]) -> IngestStats:

@@ -50,6 +50,14 @@ DEFAULT_GPV_ALPHA = 0.1
 METHODS = ("sc", "bon", "wsc", "pv", "gpv")
 
 
+def _alpha_or_default(method: str, alpha: Optional[float]) -> float:
+    """alpha, or when it is None the method's default: DEFAULT_GPV_ALPHA for
+    gpv, DEFAULT_PV_ALPHA for every other method."""
+    if alpha is not None:
+        return alpha
+    return DEFAULT_GPV_ALPHA if method == "gpv" else DEFAULT_PV_ALPHA
+
+
 def sigmoid(x: float) -> float:
     """Numerically stable logistic transform."""
     if x >= 0:
@@ -434,9 +442,8 @@ def select_answer(
     values = problem.disc
     if method == "gpv":
         values = _transformed(problem.gen, transform)
-        alpha = DEFAULT_GPV_ALPHA if alpha is None else alpha
     elif method != "sc":
         values = _transformed(problem.disc, "raw" if method == "bon" else transform)
-        alpha = DEFAULT_PV_ALPHA if alpha is None else alpha
     return _run(method, problem.candidate_ids, problem.answer_columns, values,
-                alpha if method in ("pv", "gpv") else None, m_verifications, rng)
+                _alpha_or_default(method, alpha) if method in ("pv", "gpv") else None,
+                m_verifications, rng)

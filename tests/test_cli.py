@@ -294,6 +294,16 @@ class TestCost:
         ])
         assert code == 0 and json.loads(out)["total"] == 34.0
 
+    def test_negative_count_refused(self, capsys):
+        """A negative --count is refused; --count 0 still costs an empty
+        batch."""
+        argv = ["cost", "--solver-preset", "qwen2.5-1.5b", "--count"]
+        code, out, err = run(capsys, argv + ["-3"])
+        assert (code, out, err) == (2, "", "error: invalid count: -3\n")
+        code, out, _ = run(capsys, argv + ["0"])
+        doc = json.loads(out)
+        assert code == 0 and doc["candidates"] == 0 and doc["total"] == 0.0
+
     def test_solver_required(self, capsys):
         code, _, err = run(capsys, ["cost", "--prompt-tokens", "1"])
         assert code == 2 and "error: solver config required" in err

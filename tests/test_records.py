@@ -841,6 +841,48 @@ class TestConstructionRoutes:
             return
         self.assert_same(built, ingest_text(text, canon=canon))
 
+    def test_built_in_code_holds_columns(self):
+        """Problem(pid, candidates) stores its columns at once, as ingest's
+        Problem does, and keeps the caller's Candidates as they are."""
+        for problem in generate_pool(SynthSpec(seed=3, n_problems=2, pool_size=6,
+                                               p_correct=0.5, gen_verifications=2)):
+            cands = problem.candidates
+            built = Problem(problem.problem_id, cands)
+            stored = vars(built)
+            assert {"disc", "gen", "answers", "answer_keys", "tokens"} <= set(stored)
+            assert built.candidates is cands
+            assert stored["answers"] == tuple(c.answer_raw for c in cands)
+            assert stored["tokens"] == tuple(zip(*[
+                (st.prompt_tokens, st.output_tokens, st.solution_tokens,
+                 st.reasoning_budget, st.verification_out_tokens)
+                for st in (c.token_stats for c in cands)]))
+            for array, want in ((stored["disc"], [c.disc_score for c in cands]),
+                                (stored["gen"], [c.gen_scores for c in cands])):
+                assert array.dtype == np.float64 and not array.flags.writeable
+                assert array.tolist() == [list(w) if isinstance(w, tuple) else w
+                                          for w in want]
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
+        counts = Problem("mixed", [
+            Candidate("a", token_stats=TokenStats(1, 2, 2)),
+            Candidate("b", token_stats=TokenStats(3, 4, 1, 9, 5)),
+        ])
+        assert vars(counts)["tokens"] == ((1, 3), (2, 4), (2, 1), (None, 9), (None, 5))
+        assert (vars(counts)["disc"], vars(counts)["gen"]) == (None, None)
+
+    @pytest.mark.parametrize("fields, message", [
+        ((dict(gen_scores=(1.0,)), dict(gen_scores=(1.0, 2.0))),
+         "problem 'p': inconsistent M (gen_scores lengths [1, 2])"),
+        ((dict(disc_score=1.0), dict()),
+         "problem 'p': disc_score present on 1 of 2 candidates (must be all or none)"),
+    ], ids=["ragged-gen", "partial-disc"])
+    def test_problem_checked_before_arrays(self, fields, message):
+        """A pool the rules refuse raises _check_problem's message, not an
+        error from building its arrays."""
+        cands = [Candidate(cid, **f) for cid, f in zip("ab", fields)]
+        with pytest.raises(IngestError, match=re.escape(message)):
+            Problem("p", cands)
+
     @pytest.mark.parametrize("fields, message", [
         ({"answer_raw": 5, "correct": "yes"}, "answer must be a string, got 5"),
         ({"correct": "yes", "disc_score": math.nan},

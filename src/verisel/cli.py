@@ -107,6 +107,11 @@ def cmd_curve(args: argparse.Namespace) -> int:
     return 0
 
 
+# cost's flags for the one candidate it prices without -i; they parse to None
+# when not given, so that -i can refuse them
+_CANDIDATE_FLAGS = ("prompt_tokens", "output_tokens", "solution_tokens", "count")
+
+
 def cmd_cost(args: argparse.Namespace) -> int:
     solver = _model_config(args.solver_preset, args.solver_config)
     if solver is None:
@@ -114,22 +119,20 @@ def cmd_cost(args: argparse.Namespace) -> int:
     verifier = _model_config(args.verifier_preset, args.verifier_config)
 
     if args.input is not None:
+        given = [f"--{name.replace('_', '-')}" for name in _CANDIDATE_FLAGS
+                 if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)} not allowed with -i: the records "
+                             "give the token counts")
         problems = _read_problems(args)
         stats = [st for p in problems for st in p.token_stats]
     else:
-        if args.count < 0:  # [stats] * count would be an empty pool
-            raise ValueError(f"invalid count: {args.count}")
-        out_tokens = (
-            args.solution_tokens if args.output_tokens is None
-            else args.output_tokens
-        )
-        stats = [
-            TokenStats(
-                prompt_tokens=args.prompt_tokens,
-                output_tokens=out_tokens,
-                solution_tokens=args.solution_tokens,
-            )
-        ] * args.count
+        count = 1 if args.count is None else args.count
+        if count < 0:  # [stats] * count would be an empty pool
+            raise ValueError(f"invalid count: {count}")
+        solution = args.solution_tokens or 0
+        output = solution if args.output_tokens is None else args.output_tokens
+        stats = [TokenStats(args.prompt_tokens or 0, output, solution)] * count
 
     parts = pipeline_breakdown(
         solver, verifier, stats, args.mode,
@@ -327,11 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--verifier-config")
     sub.add_argument("-M", "--m-verifications", type=int, default=0)
     sub.add_argument("--verify-out", type=int, default=None)
-    sub.add_argument("--prompt-tokens", type=int, default=0)
+    sub.add_argument("--prompt-tokens", type=int, default=None)
     sub.add_argument("--output-tokens", type=int, default=None)
-    sub.add_argument("--solution-tokens", type=int, default=0)
+    sub.add_argument("--solution-tokens", type=int, default=None)
     sub.add_argument(
-        "--count", type=int, default=1,
+        "--count", type=int, default=None,
         help="replicate the flag-specified candidate this many times",
     )
     sub.set_defaults(func=cmd_cost)

@@ -232,9 +232,11 @@ _NO_TOKENS = TokenStats()  # one shared, immutable default
 class Candidate:
     """One sampled solution: its answer, optional label, and verifier scores.
 
-    disc_score is the raw logit from a discriminative verifier; gen_scores
-    are the per-verification scores from a generative verifier (length M,
-    uniform within a problem). Scores are stored as floats.
+    disc_score is the score from a discriminative verifier, which the
+    default sigmoid transform reads as a logit (synth writes probabilities
+    in (0, 1), which it maps into (0.5, 0.731)); gen_scores are the
+    per-verification scores from a generative verifier (length M, uniform
+    within a problem). Scores are stored as floats.
 
     Checked as a one-row column by _candidate_fault, the one statement of a
     valid candidate; ValueError names the first broken rule. cluster_key,
@@ -402,8 +404,9 @@ class Problem:
     _checked_columns, which checks them (_check_problem states what is
     valid, and nothing downstream checks it again). Built in code, a
     Problem reads its Candidates' fields into columns and keeps the
-    Candidates as candidates; built by ingest or unpickled, it builds
-    candidates from the columns on first use, with no second check.
+    Candidates as candidates; built by ingest or generate_pool, or
+    unpickled, it builds candidates from the columns on first use, with no
+    second check.
     token_stats holds each candidate's TokenStats, built on first use. repr
     is that of a dataclass of (problem_id, candidates); == and hash compare
     the columns, which is == of the candidates. A Problem is immutable and

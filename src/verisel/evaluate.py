@@ -356,18 +356,18 @@ class _PoolStack:
             row[: len(c.correct)] = c.correct
         self.codes = np.stack([c.codes for c in columns])
         self.none_code = np.array([c.none_code for c in columns])
-        self.rank = self.by_rank = self.weights = None
-        if cfg.method == "bon":
+        self.rank = self.by_rank = self.weights = self.objective = None
+        if cfg.method == "bon":  # bon reads ranks, and no objective
             self.rank = np.stack(values)
             # the label of the candidate at each rank; rank k never wins
             self.by_rank = np.zeros((len(columns), self.k + 1), bool)
             for row, rank, c in zip(self.by_rank, self.rank, columns):
                 row[rank] = c.correct[c.codes]
             self.by_rank[:, self.k] = False
-        elif cfg.method != "sc":
-            self.weights = np.stack(values)
-        m = cfg.m_verifications if cfg.method == "gpv" else 1
-        self.objective = _objective(cfg.method, cfg.n, cfg.effective_alpha, m)
+        else:
+            self.weights = None if cfg.method == "sc" else np.stack(values)
+            m = cfg.m_verifications if cfg.method == "gpv" else 1
+            self.objective = _objective(cfg.method, cfg.n, cfg.effective_alpha, m)
         # rows per chunk: _CHUNK slate elements or bincount cells, and
         # 8 * _CHUNK bytes of Floyd's taken-candidate bitmap
         self.step = max(1, _CHUNK // max(self.n, width, self.k // 8))

@@ -326,17 +326,15 @@ def _checked(candidates: Sequence[Candidate], scores: Optional[Mapping],
     return list(checked)
 
 
-_CANDIDATE_ID, _CLUSTER_KEY, _LABEL, _DISC = map(
-    attrgetter, ("candidate_id", "cluster_key", "correct", "disc_score"))
+_CANDIDATE_ID, _CLUSTER_KEY, _DISC = map(
+    attrgetter, ("candidate_id", "cluster_key", "disc_score"))
 
 
 def _laid_out(candidates: Sequence[Candidate]) -> AnswerColumns:
-    """The candidates' answer columns."""
+    """The candidates' answer columns, without labels: no rule reads one."""
     if not candidates:
         raise EmptyPoolError("empty pool")
-    labeled = candidates[0].correct is not None
-    return _answer_columns(list(map(_CLUSTER_KEY, candidates)),
-                           list(map(_LABEL, candidates)) if labeled else None)
+    return _answer_columns(list(map(_CLUSTER_KEY, candidates)))
 
 
 def _members(clusters: Sequence[AnswerCluster]) -> list[Candidate]:

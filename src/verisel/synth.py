@@ -5,6 +5,8 @@ candidates scatter over a configurable number of wrong answers. Verifier
 scores are Beta-distributed conditioned on the label, so the gap between
 the two distributions sets the verifier's quality: Beta(8,2) against
 Beta(2,8) is a strong verifier, identical parameters an uninformative one.
+These scores are probabilities in (0, 1), not the logits that the default
+sigmoid transform expects, so it maps them into (0.5, 0.731), in order.
 
 Under iid label-conditioned scores whose likelihood ratio rises with the
 score (as it does for the defaults), best-of-N can only improve with N. An
@@ -29,7 +31,14 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Candidate, Problem, TokenStats, _check_int, _check_number
+from .core import (
+    _TOKEN_ROW,
+    Problem,
+    TokenStats,
+    _check_int,
+    _check_number,
+    _checked_columns,
+)
 
 # Beta parameters of the confidently-wrong tail's disc_score.
 _WRONG_TAIL_DIST = (20.0, 1.0)
@@ -97,7 +106,8 @@ def generate_pool(spec: SynthSpec) -> list[Problem]:
     With wrong_tail > 0, each incorrect candidate's disc_score is replaced,
     with probability wrong_tail, by a draw from Beta(20,1); gen_scores are
     left as they are. Token counts are the SynthSpec constants,
-    identical on every candidate.
+    identical on every candidate. Each problem is built as columns, by the
+    check-and-build step of ingest; its Candidates, on first use.
 
     Per problem, draws come from one Philox stream in a fixed order: labels,
     wrong answers, disc scores, gen scores, then (only when wrong_tail > 0)
@@ -111,49 +121,31 @@ def generate_pool(spec: SynthSpec) -> list[Problem]:
         solution_tokens=spec.solution_tokens,
         verification_out_tokens=spec.verification_out_tokens,
     )
+    size = spec.pool_size
+    ids = tuple(f"s{i:03d}" for i in range(size))
+    tokens = [(value,) * size for value in _TOKEN_ROW(stats)]
     problems = []
     for p in range(spec.n_problems):
         rng = _problem_rng(spec.seed, p)
-        correct = rng.random(spec.pool_size) < spec.p_correct
-        wrong_pick = rng.integers(spec.answer_space, size=spec.pool_size)
+        correct = rng.random(size) < spec.p_correct
+        wrong_pick = rng.integers(spec.answer_space, size=size)
         ca, cb = spec.correct_dist
         ia, ib = spec.incorrect_dist
-        scores = np.where(
-            correct,
-            rng.beta(ca, cb, size=spec.pool_size),
-            rng.beta(ia, ib, size=spec.pool_size),
-        )
+        scores = np.where(correct, rng.beta(ca, cb, size=size), rng.beta(ia, ib, size=size))
         gen_scores = None
         if spec.gen_verifications > 0:
-            shape = (spec.pool_size, spec.gen_verifications)
-            gen_scores = np.where(
-                correct[:, None],
-                rng.beta(ca, cb, size=shape),
-                rng.beta(ia, ib, size=shape),
-            )
+            shape = (size, spec.gen_verifications)
+            gen_scores = np.where(correct[:, None], rng.beta(ca, cb, size=shape),
+                                  rng.beta(ia, ib, size=shape))
         if spec.wrong_tail > 0:
-            in_tail = ~correct & (rng.random(spec.pool_size) < spec.wrong_tail)
+            in_tail = ~correct & (rng.random(size) < spec.wrong_tail)
             ta, tb = _WRONG_TAIL_DIST
-            scores = np.where(
-                in_tail, rng.beta(ta, tb, size=spec.pool_size), scores
-            )
-
-        candidates = []
-        for i in range(spec.pool_size):
-            answer = "c" if correct[i] else f"w{wrong_pick[i]}"
-            candidates.append(
-                Candidate(
-                    candidate_id=f"s{i:03d}",
-                    answer_raw=answer,
-                    answer_key=answer,
-                    correct=bool(correct[i]),
-                    disc_score=float(scores[i]),
-                    gen_scores=None if gen_scores is None
-                    else tuple(float(g) for g in gen_scores[i]),
-                    token_stats=stats,
-                )
-            )
-        problems.append(
-            Problem(problem_id=f"syn-{p:04d}", candidates=tuple(candidates))
-        )
+            scores = np.where(in_tail, rng.beta(ta, tb, size=size), scores)
+        answers = tuple("c" if c else f"w{w}"
+                        for c, w in zip(correct.tolist(), wrong_pick.tolist()))
+        gens = ((None,) * size if gen_scores is None
+                else tuple(map(tuple, gen_scores.tolist())))
+        problems.append(Problem._of_columns(**_checked_columns(
+            f"syn-{p:04d}", ids, answers, answers, tuple(correct.tolist()),
+            tuple(scores.tolist()), gens, *tokens)))
     return problems

@@ -78,6 +78,15 @@ class TestEvaluate:
         ])
         assert code == 0 and json.loads(out)["m"] == 2
 
+    def test_bon_ignores_alpha(self, capsys, tmp_path):
+        # evaluate --method bon --alpha -1 once failed, as "invalid alpha",
+        # while select --method bon --alpha -1 succeeded
+        data = simulate(capsys, tmp_path / "pools.jsonl")
+        argv = ["evaluate", "-i", data, "--method", "bon", "-n", "4", "--draws", "20"]
+        code, out, _ = run(capsys, [*argv, "--alpha", "-1"])
+        assert code == 0 and out == run(capsys, argv)[1]
+        assert "alpha" not in json.loads(out)  # None: not echoed
+
     def test_oversized_slate_fails(self, capsys, tmp_path):
         data = simulate(capsys, tmp_path / "pools.jsonl")
         code, _, err = run(capsys, [
@@ -303,6 +312,21 @@ class TestCost:
         code, out, _ = run(capsys, argv + ["0"])
         doc = json.loads(out)
         assert code == 0 and doc["candidates"] == 0 and doc["total"] == 0.0
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--count", "-3", "--prompt-tokens", "999"], "--prompt-tokens, --count"),
+        (["--count", "7", "--solution-tokens", "5"], "--solution-tokens, --count"),
+        (["--output-tokens", "0"], "--output-tokens"),
+        (["--count", "1"], "--count"),
+    ])
+    def test_candidate_flags_refused_with_input(self, capsys, tmp_path, flags, named):
+        # -i once priced the records and dropped these flags without a word
+        data = simulate(capsys, tmp_path / "pools.jsonl")
+        code, out, err = run(capsys, ["cost", "-i", data, "--solver-preset",
+                                      "qwen2.5-1.5b", *flags])
+        assert (code, out) == (2, "")
+        assert err == (f"error: {named} not allowed with -i: the records give "
+                       "the token counts\n")
 
     def test_solver_required(self, capsys):
         code, _, err = run(capsys, ["cost", "--prompt-tokens", "1"])

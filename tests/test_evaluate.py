@@ -541,6 +541,22 @@ class TestBootstrapErrors:
                 [problem], EvalConfig(n=2, method="pv", draws=5, alpha=-0.5)
             )
 
+    def test_bon_ignores_alpha(self):
+        # bon reads no alpha, yet a negative one once failed as "invalid
+        # alpha" from an objective that nothing scored with
+        rng = np.random.default_rng(45)
+        problems = [random_problem(rng, min_size=4, max_size=8, labeled=True,
+                                   pid=f"q{i}") for i in range(3)]
+        report = bootstrap_accuracy(
+            problems, EvalConfig(n=2, method="bon", draws=20, alpha=-1.0))
+        assert report == bootstrap_accuracy(
+            problems, EvalConfig(n=2, method="bon", draws=20))
+        assert report.alpha is None
+        for method in ("pv", "gpv"):
+            with pytest.raises(ValueError, match="invalid alpha"):
+                bootstrap_accuracy(problems, EvalConfig(
+                    n=2, method=method, draws=20, alpha=-1.0, m_verifications=1))
+
     def test_empty_pool(self):
         """Problem refuses an empty pool, so none reaches an evaluation."""
         with pytest.raises(EmptyPoolError, match="problem 'e': empty pool"):

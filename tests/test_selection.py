@@ -31,6 +31,7 @@ from verisel.selection import (
     METHODS,
     ClusterDiagnostic,
     _transformed,
+    candidate_gen_scores,
     candidate_scores,
     sigmoid,
 )
@@ -749,3 +750,26 @@ class TestDiagnosticsBuilt:
                     assert type(d.n_a) is int
                     with pytest.raises(dataclasses.FrozenInstanceError):
                         d.n_a = 0
+
+
+class TestDictRulesReadNoLabel:
+    """The dict-taking rules read no label: each gives the same result,
+    diagnostics and seeded tie draw included, once every label is None."""
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_same_without_labels(self, labeled):
+        rng = np.random.default_rng(47)
+        for i in range(100):
+            problem = random_problem(rng, max_size=24, labeled=labeled)
+            unlabeled = Problem(problem.problem_id, tuple(
+                dataclasses.replace(c, correct=None) for c in problem.candidates))
+            results = []
+            for p in (problem, unlabeled):
+                cl = cluster_by_answer(p)
+                gen = candidate_gen_scores(p.candidates, "raw")
+                tie = (lambda: np.random.default_rng(i)) if i % 2 else (lambda: None)
+                results.append((
+                    select_sc(cl, rng=tie()), select_bon(p.candidates, rng=tie()),
+                    select_wsc(cl, rng=tie()), select_pv(cl, rng=tie()),
+                    select_gpv(cl, gen, rng=tie())))
+            assert results[0] == results[1]

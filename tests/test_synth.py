@@ -8,10 +8,12 @@ import pytest
 
 from verisel import (
     EvalConfig,
+    Problem,
     SynthSpec,
     bootstrap_accuracy,
     generate_pool,
 )
+from verisel.records import records_text
 
 
 def spec(**kw):
@@ -136,6 +138,23 @@ class TestStructure:
                 assert c.token_stats.prompt_tokens == 64
                 assert c.token_stats.output_tokens == 512
                 assert c.token_stats.solution_tokens == 128
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_pools_are_columns(self, m):
+        # a pool is built as columns, with no Candidate until one is read,
+        # and equals the pool its Candidates build in code
+        for p in generate_pool(spec(gen_verifications=m, wrong_tail=0.3)):
+            assert "candidates" not in vars(p)
+            for scores in (p.disc, p.gen) if m else (p.disc,):
+                assert scores.dtype == np.float64 and not scores.flags.writeable
+            built = Problem(p.problem_id, p.candidates)
+            assert p == built and repr(p) == repr(built)
+            assert records_text([p]) == records_text([built])
+
+    def test_token_counts_checked(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "invalid token count: solution_tokens 600 > output_tokens 512")):
+            generate_pool(spec(solution_tokens=600))
 
     def test_wrong_answers_span_answer_space(self):
         problems = generate_pool(

@@ -277,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--score-transform", dest="transform", choices=SCORE_TRANSFORMS,
         default="sigmoid",
-        help="how raw verifier logits enter wsc/pv/gpv aggregation",
+        help="how verifier scores enter wsc/pv/gpv: sigmoid reads each as a "
+        "logit (synthetic pools hold probabilities), raw as given; bon ignores it",
     )
     parser.add_argument(
         "--canon", choices=("exact", "numeric"), default="exact",

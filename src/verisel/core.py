@@ -407,7 +407,8 @@ class Problem:
     Candidates as candidates; built by ingest or generate_pool, or
     unpickled, it builds candidates from the columns on first use, with no
     second check.
-    token_stats holds each candidate's TokenStats, built on first use. repr
+    token_stats holds each candidate's TokenStats, built on first use, and
+    _kept what the rules derive from the columns (selection._scored). repr
     is that of a dataclass of (problem_id, candidates); == and hash compare
     the columns, which is == of the candidates. A Problem is immutable and
     pickles as its columns.
@@ -461,10 +462,13 @@ class Problem:
         return _answer_columns([key or NO_ANSWER_KEY for key in self.answer_keys],
                                self.labels if self.labeled else None)
 
-    @cached_property
-    def _memo(self) -> dict:
-        """What slate evaluation reads of this pool, kept by evaluate.py."""
-        return {}
+    def _kept(self, slot, build, tag=None) -> np.ndarray:
+        """build()'s array, kept read-only at slot for tag (another tag
+        replaces it; a failed build keeps nothing); repr and == ignore it."""
+        memo = self.__dict__.setdefault("_memo", {})
+        if slot not in memo or memo[slot][0] != tag:
+            memo[slot] = (tag, _read_only(build()))
+        return memo[slot][1]
 
     def __len__(self) -> int:
         return len(self.candidate_ids)

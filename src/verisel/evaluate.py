@@ -17,8 +17,9 @@ depends on which problems ran with it.
 
 What a rule decides on a slate comes from selection.py: its kernel
 (_tally) runs here on a chunk of slates at once, one row each, as
-select_answer runs it on a whole pool; BoN reads its order as ranks. Tests
-hold each slate's outcome to select_answer and to an independent oracle.
+select_answer runs it on a whole pool, on the same inputs (_scored); BoN
+reads its order as ranks. Tests hold each slate's outcome to select_answer
+and to an independent oracle.
 """
 
 from __future__ import annotations
@@ -47,12 +48,10 @@ from .selection import (
     METHODS,
     _alpha_or_default,
     _bon_ranking,
-    _gen_means,
     _objective,
-    _resolve_m,
+    _scored,
     _tally,
     _transform_fn,
-    _transformed,
 )
 
 _PIPELINE_MODE = {"sc": "sc", "bon": "disc", "wsc": "disc", "pv": "disc", "gpv": "gen"}
@@ -297,44 +296,24 @@ def _draw_slates(
     return slates.T, redo
 
 
-def _kept(problem: Problem, slot, build, tag=None):
-    """problem._memo's value at slot for tag, built on first use; it replaces
-    the slot's value for any other tag, and a build that raises keeps
-    nothing. An array is kept read-only."""
-    memo = problem._memo
-    if slot not in memo or memo[slot][0] != tag:
-        value = build()
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-        memo[slot] = (tag, value)
-    return memo[slot][1]
-
-
 def _candidate_values(problem: Problem, cfg: EvalConfig) -> Optional[np.ndarray]:
-    """What cfg.method reads of each candidate, in pool order: BoN ranks
-    (no-answer candidates take rank k and never win), transformed scores,
-    or gpv means; None for sc. Each is built from the problem's disc or gen
-    column and kept on the problem, per transform (and M), after its first
-    build. Raises as select_answer does."""
-    transform, ids = cfg.transform, problem.candidate_ids
+    """What cfg.method reads of each candidate, in pool order: None for sc,
+    else selection._scored's array, which BoN turns into kept ranks (rank k:
+    no answer, never wins). Raises as select_answer does."""
     if cfg.method == "sc":
         return None
-    if cfg.method == "bon":
-        def ranks():
-            columns = problem.answer_columns
-            ranked = _bon_ranking(ids, _transformed(problem.disc, "raw").tolist(),
-                                  columns.codes.tolist(), columns.none_code)
-            rank = np.full(len(ids), len(ids), np.int32)
-            rank[np.array(ranked, np.intp)] = np.arange(len(ranked))
-            return rank
-        return _kept(problem, "bon", ranks)
-    if cfg.method == "gpv":
-        gen = _kept(problem, ("gen", transform),
-                    lambda: _transformed(problem.gen, transform))
-        m = _resolve_m({gen.shape[1]}, cfg.m_verifications)
-        return _kept(problem, ("gpv", transform, m), lambda: _gen_means(gen, m, ids))
-    return _kept(problem, ("disc", transform),
-                 lambda: _transformed(problem.disc, transform))
+    values, _ = _scored(problem, cfg.method, cfg.transform, cfg.m_verifications)
+    if cfg.method != "bon":
+        return values
+
+    def ranks():
+        ids, columns = problem.candidate_ids, problem.answer_columns
+        ranked = _bon_ranking(ids, values.tolist(), columns.codes.tolist(),
+                              columns.none_code)
+        rank = np.full(len(ids), len(ids), np.int32)
+        rank[np.array(ranked, np.intp)] = np.arange(len(ranked))
+        return rank
+    return problem._kept("bon", ranks)
 
 
 class _PoolStack:
@@ -389,7 +368,7 @@ class _PoolStack:
         cfg, problems = self.cfg, self.problems
         bulk = not cfg.replacement and self.k <= _MAX_BULK_POOL
         if bulk:  # each problem keeps its key for the last seed only
-            keys = np.array([_kept(p, "slate key", lambda: _slate_key(
+            keys = np.array([p._kept("slate key", lambda: _slate_key(
                 cfg.seed, p.problem_id), cfg.seed) for p in problems])
         total = len(problems) * cfg.draws
         out = np.empty(total)
@@ -624,7 +603,8 @@ def budget_curve(
     M verification generations for gpv), averaged over problems. The
     latency budget is looked up from measured wall-clock data at (N, M)
     exactly; absent measurements are errors. gpv expands over m_grid; other
-    methods report m=0.
+    methods report m=0. methods, n_grid and, when gpv is among the
+    methods, m_grid must each be non-empty, with no value repeated.
 
     Each problem's pipeline FLOPs are computed once per (mode, M) and
     reused across the N grid, from its token_stats, built once. With
@@ -639,6 +619,13 @@ def budget_curve(
         raise ValueError("flops budget needs a solver config")
     if not problems:
         raise ValueError("no problems")
+    for name, grid in (("methods", methods), ("n_grid", n_grid),
+                       ("m_grid", m_grid if "gpv" in methods else [0])):
+        if not grid:
+            raise ValueError(f"{name} is empty")
+        repeated = [v for i, v in enumerate(grid) if v in grid[:i]]
+        if repeated:
+            raise ValueError(f"{name} repeats {repeated[0]!r}")
     base = cfg if cfg is not None else EvalConfig(n=1)
     pipeline_costs: dict[tuple[str, int], list[int]] = {}
 

@@ -14,11 +14,12 @@ All rules are pure functions. Ties break by the deterministic cluster order
 seeded generator is passed, in which case a tied winner is drawn uniformly.
 
 This module is the only statement of what a rule decides: objectives
-(_objective), per-candidate scores, BoN's order (_bon_ranking) and one
-kernel (_tally) that aggregates clusters and picks by objective, then tie
-order. select_answer runs it on a Problem's columns (answer_columns,
-disc, gen), the select_* functions are thin wrappers that lay their dicts
-out as such columns, and evaluate.py runs it on batches of slates.
+(_objective), what each rule reads of each candidate (_scored, kept on
+the Problem), BoN's order (_bon_ranking) and one kernel (_tally) that
+aggregates clusters and picks by objective, then tie order. select_answer
+runs it on a Problem's answer_columns and _scored inputs, the select_*
+functions are thin wrappers that lay their dicts out as such columns, and
+evaluate.py runs it on batches of slates, on the same _scored inputs.
 """
 
 from __future__ import annotations
@@ -100,13 +101,9 @@ def _transform_fn(transform: str):
         raise ValueError(f"unknown score transform: {transform!r}") from None
 
 
-def _transformed(scores: Optional[np.ndarray], transform: str) -> np.ndarray:
-    """A pool's disc or gen column under the named transform, equal bit for
-    bit to applying it element by element; ValueError when the pool
-    carries no such scores."""
-    _transform_fn(transform)
-    if scores is None:
-        raise ValueError("scores required")
+def _transformed(scores: np.ndarray, transform: str) -> np.ndarray:
+    """Scores under the transform, a name _transform_fn accepts, equal bit
+    for bit to applying it element by element."""
     if transform == "raw":
         return scores
     # sigmoid() in bulk: its one math.exp call, on the same argument -|x|,
@@ -207,6 +204,26 @@ def _gen_means(gen: np.ndarray, m: int, ids: Sequence[str]) -> np.ndarray:
     return means
 
 
+def _scored(problem: Problem, method: str, transform: str = "sigmoid",
+            m: Optional[int] = None) -> tuple[Optional[np.ndarray], Optional[int]]:
+    """What method reads of each candidate, in pool order, and gpv's M (m,
+    else the gen_scores length): sc's and bon's raw disc scores, wsc's and
+    pv's transformed ones or gpv's means, kept on the problem per transform
+    and M. The transform name is checked for every method."""
+    _transform_fn(transform)
+    scores = problem.gen if method == "gpv" else problem.disc
+    if scores is None and method != "sc":
+        raise ValueError("scores required")
+    if method in ("sc", "bon"):
+        return scores, None
+    if method != "gpv":
+        return problem._kept(("disc", transform),
+                             lambda: _transformed(scores, transform)), None
+    m = _resolve_m({scores.shape[1]}, m)
+    return problem._kept(("gpv", transform, m), lambda: _gen_means(
+        _transformed(scores[:, :m], transform), m, problem.candidate_ids)), m
+
+
 def _bon_ranking(ids: Sequence[str], scores: Sequence[float],
                  codes: Sequence[int], none_code: int) -> list[int]:
     """BoN's candidate order, as positions: highest score first, then lowest
@@ -248,18 +265,16 @@ def _tally(codes: np.ndarray, values: Optional[np.ndarray], width: int,
 
 def _run(method: str, ids: Optional[Sequence[str]], columns: AnswerColumns,
          values: Optional[np.ndarray], alpha: Optional[float] = None,
-         m_verifications: Optional[int] = None,
+         m: Optional[int] = None,
          rng: Optional[np.random.Generator] = None) -> SelectionResult:
-    """method on one pool laid out as columns: candidate ids (bon and gpv
-    read them), answer columns and what the rule reads of each candidate,
-    in pool order (sc:
-    raw disc scores or None; gpv: rows of pass scores; else one valid
-    score). A cluster rule is _tally on one row, and rng draws among
-    clusters tied on objective, in cluster order (support descending, key
-    ascending), the diagnostics' order. BoN's cluster objective is the
-    first highest score."""
-    m = winner = None
-    column = values
+    """method on one pool laid out as columns: candidate ids (bon reads
+    them), answer columns and what the rule reads of each candidate, in
+    pool order (sc: raw disc scores or None; gpv: means over its m passes;
+    else one valid score). A cluster rule is _tally on one row, and rng
+    draws among clusters tied on objective, in cluster order (support
+    descending, key ascending), the diagnostics' order. BoN's cluster
+    objective is the first highest score."""
+    winner = None
     if method == "bon":
         scores, codes = values.tolist(), columns.codes.tolist()
         ranked = _bon_ranking(ids, scores, codes, columns.none_code)
@@ -271,12 +286,9 @@ def _run(method: str, ids: Optional[Sequence[str]], columns: AnswerColumns,
         for code, score in zip(codes, scores):
             value[code] = max(value.get(code, score), score)
         counts, totals = (np.bincount(columns.codes, w, len(columns.keys)).tolist()
-                          for w in (None, column))
+                          for w in (None, values))
     else:
-        if method == "gpv":
-            m = _resolve_m({values.shape[1]}, m_verifications)
-            column = _gen_means(values, m, ids)
-        tally = _tally(columns.codes[None], None if column is None else column[None],
+        tally = _tally(columns.codes[None], None if values is None else values[None],
                        len(columns.keys), np.array([columns.none_code]),
                        _objective(method, len(columns.codes), alpha, m or 1))
         counts, totals, penalty, value, pick = (
@@ -289,7 +301,7 @@ def _run(method: str, ids: Optional[Sequence[str]], columns: AnswerColumns,
             ClusterDiagnostic,
             answer_key=columns.keys[c],
             n_a=counts[c],
-            sum_score=None if column is None else totals[c],
+            sum_score=None if values is None else totals[c],
             penalty=None if penalty is None or c == none else penalty[c],
             objective=None if c == none else value[c],
         )
@@ -412,14 +424,11 @@ def select_gpv(
     members = _members(clusters)
     columns = _laid_out(members)
     rows = _checked(members, gen_scores, rows=True)
-    lengths = set(map(len, rows))
-    m = _resolve_m(lengths, m_verifications)
-    if len(lengths) > 1:
-        rows = [row[:m] for row in rows]
-    width = len(rows[0])
-    gen = np.fromiter(chain.from_iterable(rows), float, len(rows) * width)
-    return _run("gpv", list(map(_CANDIDATE_ID, members)), columns,
-                gen.reshape(len(rows), width), alpha, m, rng)
+    m = _resolve_m(set(map(len, rows)), m_verifications)
+    gen = np.fromiter(chain.from_iterable(row[:m] for row in rows), float,
+                      len(rows) * m).reshape(len(rows), m)
+    ids = list(map(_CANDIDATE_ID, members))
+    return _run("gpv", ids, columns, _gen_means(gen, m, ids), alpha, m, rng)
 
 
 def select_answer(
@@ -430,18 +439,15 @@ def select_answer(
     transform: str = "sigmoid",
     rng: Optional[np.random.Generator] = None,
 ) -> SelectionResult:
-    """Run one named rule on a problem, applying the score transform.
+    """Run one named rule on a problem, applying the score transform to
+    what _scored derives and keeps on the problem.
 
     BoN ranks raw scores directly: its argmax is invariant under any
     monotone transform, so there is nothing to configure.
     """
     if method not in METHODS:
         raise ValueError(f"unknown selection method: {method!r}")
-    values = problem.disc
-    if method == "gpv":
-        values = _transformed(problem.gen, transform)
-    elif method != "sc":
-        values = _transformed(problem.disc, "raw" if method == "bon" else transform)
+    values, m = _scored(problem, method, transform, m_verifications)
     return _run(method, problem.candidate_ids, problem.answer_columns, values,
                 _alpha_or_default(method, alpha) if method in ("pv", "gpv") else None,
-                m_verifications, rng)
+                m, rng)

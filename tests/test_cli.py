@@ -199,6 +199,34 @@ class TestCurve:
         ])
         assert code == 2 and "error: no measurement" in err
 
+    @pytest.mark.parametrize("flags, error", [
+        (["--methods", ""], "methods is empty"),
+        (["--methods", " , "], "methods is empty"),
+        (["--n-grid", ","], "n_grid is empty"),
+        (["--methods", "gpv", "--m-grid", ""], "m_grid is empty"),
+        (["--methods", "sc,sc"], "methods repeats 'sc'"),
+        (["--methods", "sc,gpv", "--m-grid", "1,2,1"], "m_grid repeats 1"),
+        (["--n-grid", "1,2,1"], "n_grid repeats 1"),
+    ])
+    def test_bad_grid_refused(self, capsys, tmp_path, flags, error):
+        """An empty or repeating grid ends in an error naming it, not in a
+        bare header or points printed twice."""
+        data = simulate(capsys, tmp_path / "pools.jsonl", gen_verifications=2)
+        code, out, err = run(capsys, [
+            "curve", "-i", data, "--solver-preset", "qwen2.5-32b",
+            "--verifier-preset", "qwen2.5-1.5b", "--draws", "5", *flags,
+        ])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: {error}\n")
+
+    def test_m_grid_unread_without_gpv(self, capsys, tmp_path):
+        """Without gpv no M is read, so the M grid may be empty or repeat."""
+        data = simulate(capsys, tmp_path / "pools.jsonl")
+        argv = ["curve", "-i", data, "--methods", "sc", "--n-grid", "1,2",
+                "--solver-preset", "qwen2.5-32b", "--draws", "5"]
+        outs = [run(capsys, [*argv, "--m-grid", grid])[:2] for grid in ("2", "", "2,2")]
+        assert outs[0][0] == 0 and outs == outs[:1] * 3
+
     def test_nan_latency_fails(self, capsys, tmp_path):
         # a NaN entry once printed a point with budget nan
         data = simulate(capsys, tmp_path / "pools.jsonl")

@@ -834,8 +834,10 @@ class TestBudgetCurve:
 
     def test_columns_built_once_per_problem(self, monkeypatch):
         """Over 42 points, each problem builds its answer columns, BoN
-        ranks and slate key once, and its disc and gen scores once per
-        transform: raw for bon, sigmoid for the rest."""
+        ranks and slate key once, its sigmoid disc scores once (bon reads
+        the raw ones) and its gpv means once per M, from the first M
+        columns of gen; select_answer then reads the same kept inputs
+        for all five rules and builds nothing more."""
         build = Problem.answer_columns.func
         built = []
 
@@ -849,22 +851,28 @@ class TestBudgetCurve:
         rng = np.random.default_rng(54)
         problems = [curve_problem(f"q{i}", rng, m=4) for i in range(4)]
         pid_of = {id(p.candidate_ids): p.problem_id for p in problems}
-        column_of = {id(getattr(p, name)): (p.problem_id, name)
-                     for p in problems for name in ("disc", "gen")}
+
+        def column_of(scores):
+            return next((p.problem_id, name) for p in problems
+                        for name in ("disc", "gen")
+                        if np.shares_memory(scores, getattr(p, name)))
+
         calls = collections.Counter()
 
-        def count(name, tag):
-            func = getattr(evaluate_module, name)
+        def count(module, name, tag):
+            func = getattr(module, name)
 
             def call(*args):
                 calls[(name, *tag(*args))] += 1
                 return func(*args)
 
-            monkeypatch.setattr(evaluate_module, name, call)
+            monkeypatch.setattr(module, name, call)
 
-        count("_transformed", lambda scores, t: (*column_of[id(scores)], t))
-        count("_bon_ranking", lambda ids, *_: (pid_of[id(ids)],))
-        count("_slate_key", lambda seed, pid: (pid,))
+        count(selection_module, "_transformed",
+              lambda scores, t: (*column_of(scores), scores.shape, t))
+        count(selection_module, "_gen_means", lambda gen, m, ids: (pid_of[id(ids)], m))
+        count(evaluate_module, "_bon_ranking", lambda ids, *_: (pid_of[id(ids)],))
+        count(evaluate_module, "_slate_key", lambda seed, pid: (pid,))
         points = budget_curve(
             problems, METHODS, n_grid=range(1, 7), m_grid=(1, 2, 4),
             solver_cfg=SOLVER, verifier_cfg=VERIFIER,
@@ -872,15 +880,22 @@ class TestBudgetCurve:
         )
         assert len(points) == 42
         assert built == [p.problem_id for p in problems]
-        assert calls == collections.Counter(
+        expected = collections.Counter(
             call for p in problems for call in (
-                ("_transformed", p.problem_id, "disc", "raw"),
-                ("_transformed", p.problem_id, "disc", "sigmoid"),
-                ("_transformed", p.problem_id, "gen", "sigmoid"),
+                ("_transformed", p.problem_id, "disc", (6,), "sigmoid"),
+                *(("_transformed", p.problem_id, "gen", (6, m), "sigmoid")
+                  for m in (1, 2, 4)),
+                *(("_gen_means", p.problem_id, m) for m in (1, 2, 4)),
                 ("_bon_ranking", p.problem_id),
                 ("_slate_key", p.problem_id),
             )
         )
+        assert calls == expected
+        for p in problems:
+            for method in METHODS:
+                select_answer(p, method)
+        assert built == [p.problem_id for p in problems]
+        assert calls == expected
 
     def test_one_pool_per_curve(self, executors):
         problems = self.problems()
@@ -1007,8 +1022,9 @@ RULE_RUNS = (("bon", None), ("wsc", None), ("pv", None), ("gpv", 1), ("gpv", 2))
 
 
 class TestKeptRuleInputs:
-    """What a Problem keeps for slate evaluation: its BoN ranks, scores per
-    transform, gpv means per M and one slate key."""
+    """What a Problem keeps for select_answer and slate evaluation: its BoN
+    ranks, scores per transform, gpv means per (transform, M) and one
+    slate key."""
 
     def problems(self, seed=57):
         rng = np.random.default_rng(seed)
@@ -1028,8 +1044,9 @@ class TestKeptRuleInputs:
                         bootstrap_accuracy(fresh, cfg)
 
     def test_bounded_and_read_only(self):
-        """A sweep over seeds keeps one slate key, and no array kept can be
-        written to."""
+        """A sweep over seeds keeps one slate key, select_answer keeps
+        nothing the sweep did not, no transformed gen matrix is kept, and
+        no array kept can be written to."""
         (problem,) = self.problems()[:1]
         for seed in range(5):
             for transform in ("raw", "sigmoid"):
@@ -1037,15 +1054,17 @@ class TestKeptRuleInputs:
                     bootstrap_accuracy([problem], EvalConfig(
                         n=2, method=method, draws=3, seed=seed,
                         transform=transform, m_verifications=m))
+                    select_answer(problem, method, m_verifications=m,
+                                  transform=transform)
         assert set(problem._memo) == {
             "bon", "slate key", ("disc", "raw"), ("disc", "sigmoid"),
-            ("gen", "raw"), ("gen", "sigmoid"), ("gpv", "raw", 1),
-            ("gpv", "raw", 2), ("gpv", "sigmoid", 1), ("gpv", "sigmoid", 2),
+            ("gpv", "raw", 1), ("gpv", "raw", 2), ("gpv", "sigmoid", 1),
+            ("gpv", "sigmoid", 2),
         }
         assert problem._memo["slate key"][0] == 4
-        arrays = [value for _, value in problem._memo.values()
-                  if isinstance(value, np.ndarray)]
-        assert len(arrays) == 10
+        arrays = [value for _, value in problem._memo.values()]
+        assert all(isinstance(a, np.ndarray) and a.ndim == 1 for a in arrays)
+        assert len(arrays) == 8
         assert not any(a.flags.writeable for a in arrays)
 
     def test_failed_build_keeps_nothing(self):
@@ -1057,14 +1076,36 @@ class TestKeptRuleInputs:
         for _ in range(2):  # the same error each time
             with pytest.raises(ValueError, match="scores required"):
                 bootstrap_accuracy([problem], EvalConfig(n=1, method="pv", draws=2))
+            with pytest.raises(ValueError, match="scores required"):
+                select_answer(problem, "pv")
             with pytest.raises(ValueError, match="mean overflows"):
                 bootstrap_accuracy([problem], EvalConfig(
                     n=1, method="gpv", draws=2, transform="raw"))
+            with pytest.raises(ValueError, match="mean overflows"):
+                select_answer(problem, "gpv", transform="raw")
             with pytest.raises(ValueError, match="inconsistent M"):
                 bootstrap_accuracy([problem], EvalConfig(
                     n=1, method="gpv", draws=2, m_verifications=3))
-        # the gen scores built; the means and the pv scores never did
-        assert set(problem._memo) == {("gen", "raw"), ("gen", "sigmoid")}
+            with pytest.raises(ValueError, match="inconsistent M"):
+                select_answer(problem, "gpv", m_verifications=3)
+        # neither the means nor the pv scores ever built
+        assert vars(problem).get("_memo", {}) == {}
+
+    def test_select_answer_transforms_disc_once(self, monkeypatch):
+        """wsc and pv read one kept sigmoid of a pool's disc column, however
+        often select_answer runs them."""
+        transformed = selection_module._transformed
+        calls = []
+
+        def counted(scores, transform):
+            calls.append(transform)
+            return transformed(scores, transform)
+
+        monkeypatch.setattr(selection_module, "_transformed", counted)
+        (problem,) = self.problems()[:1]
+        results = [select_answer(problem, method) for method in ("wsc", "pv") * 10]
+        assert calls == ["sigmoid"]
+        assert results == results[:2] * 10
 
     def test_not_seen_by_repr_or_eq(self):
         problems = self.problems()

@@ -469,6 +469,19 @@ class TestResultShape:
         with pytest.raises(ValueError, match="unknown selection method"):
             select_answer(problem, "vote")
 
+    def test_unknown_transform(self):
+        """Every rule refuses a transform name, those that never apply one
+        (sc, bon) included, as EvalConfig does."""
+        scored = Problem(problem_id="q", candidates=(
+            Candidate(candidate_id="c0", answer_raw="A", answer_key="A",
+                      disc_score=0.5, gen_scores=(0.5, 0.25)),
+        ))
+        for problem in (scored, pool(["A"], [None])):
+            for method in METHODS:
+                with pytest.raises(ValueError, match=re.escape(
+                        "unknown score transform: 'nope'")):
+                    select_answer(problem, method, transform="nope")
+
 
 class TestSeededTieBreak:
     def test_rng_picks_only_among_tied(self):

@@ -26,7 +26,7 @@ from .costs import (
     ModelConfig,
     pipeline_breakdown,
 )
-from .evaluate import EvalConfig, bootstrap_accuracy, budget_curve
+from .evaluate import EvalConfig, _check_curve_grids, bootstrap_accuracy, budget_curve
 from .records import emit_report, ingest, ingest_stats, records_text
 from .selection import METHODS, SCORE_TRANSFORMS, select_answer
 
@@ -102,6 +102,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         verification_out_tokens=args.verify_out,
         jobs=args.jobs,
     )
+    _check_curve_grids(curve["methods"], curve["n_grid"], curve["m_grid"])
     points = budget_curve(_read_problems(args), **curve)
     _write_out(emit_report(points, args.format), args.output)
     return 0

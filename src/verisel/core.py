@@ -3,7 +3,8 @@
 Everything here is an immutable value object plus pure functions over them,
 so pools can be evaluated concurrently without shared state. Every
 Problem stores its pool in one form, as columns, which one step checks and
-builds whether the pool was built in code or read by ingest; the rules of
+builds whether the pool was built in code or read by ingest, and a Problem
+of columns keeps no Candidate copy of its pool; the rules of
 a valid candidate and of a valid problem are stated once, on columns, and
 a Candidate built in code is checked as a one-row column.
 """
@@ -405,8 +406,8 @@ class Problem:
     valid, and nothing downstream checks it again). Built in code, a
     Problem reads its Candidates' fields into columns and keeps the
     Candidates as candidates; built by ingest or generate_pool, or
-    unpickled, it builds candidates from the columns on first use, with no
-    second check.
+    unpickled, it builds candidates from the columns on each read, with no
+    second check, and keeps none.
     token_stats holds each candidate's TokenStats, built on first use, and
     _kept what the rules derive from the columns (selection._scored). repr
     is that of a dataclass of (problem_id, candidates); == and hash compare
@@ -432,9 +433,13 @@ class Problem:
             gen=_read_only(gen), tokens=tokens,
         )
 
-    @cached_property
+    @property
     def candidates(self) -> tuple[Candidate, ...]:
-        """The pool as Candidates, built from the columns on first use."""
+        """The pool as Candidates: those a Problem built in code was given,
+        else Candidates built from the columns on each read, and not kept."""
+        kept = self.__dict__.get("candidates")
+        if kept is not None:
+            return kept
         disc = repeat(None) if self.disc is None else self.disc.tolist()
         gen = repeat(None) if self.gen is None else map(tuple, self.gen.tolist())
         candidates = []

@@ -583,6 +583,24 @@ def _curve_point(problems: Sequence[Problem], cfg: EvalConfig) -> BootstrapRepor
     return bootstrap_accuracy(problems, cfg, jobs=1)
 
 
+def _check_curve_grids(methods: Sequence[str], n_grid: Sequence[int],
+                       m_grid: Sequence[int]) -> None:
+    """ValueError unless methods, n_grid and, when gpv is among the methods,
+    m_grid are each non-empty with no value repeated, and every method is
+    known: budget_curve's checks of its grids, which the CLI makes before
+    it reads the input."""
+    for name, grid in (("methods", methods), ("n_grid", n_grid),
+                       ("m_grid", m_grid if "gpv" in methods else [0])):
+        if not grid:
+            raise ValueError(f"{name} is empty")
+        repeated = [v for i, v in enumerate(grid) if v in grid[:i]]
+        if repeated:
+            raise ValueError(f"{name} repeats {repeated[0]!r}")
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown selection method: {method!r}")
+
+
 def budget_curve(
     problems: Sequence[Problem],
     methods: Sequence[str],
@@ -619,13 +637,7 @@ def budget_curve(
         raise ValueError("flops budget needs a solver config")
     if not problems:
         raise ValueError("no problems")
-    for name, grid in (("methods", methods), ("n_grid", n_grid),
-                       ("m_grid", m_grid if "gpv" in methods else [0])):
-        if not grid:
-            raise ValueError(f"{name} is empty")
-        repeated = [v for i, v in enumerate(grid) if v in grid[:i]]
-        if repeated:
-            raise ValueError(f"{name} repeats {repeated[0]!r}")
+    _check_curve_grids(methods, n_grid, m_grid)
     base = cfg if cfg is not None else EvalConfig(n=1)
     pipeline_costs: dict[tuple[str, int], list[int]] = {}
 
@@ -653,8 +665,6 @@ def budget_curve(
     plan = []
     ns = sorted(n_grid)
     for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown selection method: {method!r}")
         for m in m_grid if method == "gpv" else (0,):
             budgets = [point_budget(method, n, m) for n in ns]
             if any(b1 <= b0 for b0, b1 in zip(budgets, budgets[1:])):

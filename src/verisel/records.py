@@ -3,11 +3,12 @@
 One flat line-delimited format serves real data, synthetic data, and test
 fixtures: one JSON object per candidate, grouped by problem_id (contiguous
 or not). Ingestion canonicalizes answers and keeps each record as a row of
-its problem; a problem's rows become columns when its run of lines ends,
-are checked as columns by core's rules (a record's fault is prefixed with
-its line number; a problem's names the problem) and become the Problem's
-columns, with no Candidate built. Emission is byte-stable so identical
-inputs produce identical files.
+its problem until its run of lines ends; then the run's rows are checked
+as columns by core's rules (a record's fault is prefixed with its line
+number) and become the Problem's columns, with no Candidate built. A
+problem's fault names the problem and is raised only once every record
+has passed. Emission is byte-stable so identical inputs produce identical
+files.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from itertools import repeat
+from itertools import chain, repeat
 from typing import IO, TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .core import (
@@ -119,35 +120,48 @@ def _columns(rows: Sequence[tuple], answers: _Answers) -> tuple:
     return (lines, ids, *zip(*pairs), *rest)
 
 
-def _rows(columns: Sequence[tuple]) -> list[tuple]:
-    """Record columns as rows again, which _columns turns back into the
-    same columns."""
-    return list(zip(*columns[:3], *columns[4:]))
-
-
-def _all_columns(pools: dict[str, Union[list, tuple]], answers: _Answers) -> dict:
-    """pools, each problem's rows turned into its columns in place."""
-    for problem_id, pool in pools.items():
-        if isinstance(pool, list):
-            pools[problem_id] = _columns(pool, answers)
-    return pools
-
-
 def _record_fault(columns: Sequence[tuple]) -> Optional[str]:
     """Record columns' first fault, as a record is checked: its token
     counts, then its candidate."""
     return _token_fault(*columns[7:]) or _candidate_fault(*columns[1:7])
 
 
-def _check_records(pools: dict[str, Sequence[tuple]]) -> None:
-    """Raise the IngestError of the first record, in line order, that breaks
-    a rule of a valid candidate; pools holds each problem's record columns.
-    Each problem is checked in bulk, and only a failing one row by row."""
-    bad = [columns for columns in pools.values() if _record_fault(columns)]
-    for row in sorted(row for columns in bad for row in zip(*columns)):
-        fault = _record_fault([(value,) for value in row])
-        if fault:
-            raise IngestError(f"line {row[0]}: {fault}")
+def _columns_of(problem: Problem) -> tuple:
+    """A Problem's columns as _checked_columns takes them."""
+    absent = (None,) * len(problem)
+    disc = absent if problem.disc is None else tuple(problem.disc.tolist())
+    gen = absent if problem.gen is None else tuple(problem.gen.tolist())
+    return (problem.candidate_ids, problem.answers, problem.answer_keys,
+            problem.labels, disc, gen, *problem.tokens)
+
+
+def _end_run(pools: dict[str, Union[Problem, list]], pid: Optional[str],
+             rows: Sequence[tuple], answers: _Answers) -> None:
+    """pid's run of lines ends. Raise the IngestError of the run's first bad
+    record: the run is checked as columns in bulk, and only a failing one
+    row by row. Else, for pid's first run, check and build its columns into
+    pools[pid], a Problem. A problem that breaks a rule, or whose lines
+    come back, is kept as the list of its runs' columns, which ingest joins
+    and builds, raising any fault, once every record is checked."""
+    if not rows:
+        return
+    columns = _columns(rows, answers)
+    if _record_fault(columns):
+        for row in zip(*columns):
+            fault = _record_fault([(value,) for value in row])
+            if fault:
+                raise IngestError(f"line {row[0]}: {fault}")
+    columns = columns[1:]  # without the lines, which only a record's fault names
+    runs = pools.get(pid)
+    if runs is None:  # pid's first run
+        try:
+            pools[pid] = Problem._of_columns(**_checked_columns(pid, *columns))
+            return
+        except IngestError:  # raised once every record is checked
+            runs = pools[pid] = []
+    elif isinstance(runs, Problem):  # pid's lines came back: joined at the end,
+        runs = pools[pid] = [_columns_of(runs)]  # not rebuilt at each run
+    runs.append(columns)
 
 
 def ingest(source: Source, canon: str = "exact") -> list[Problem]:
@@ -157,20 +171,22 @@ def ingest(source: Source, canon: str = "exact") -> list[Problem]:
     are contiguous; first-seen order of problems and candidates is kept.
     Unknown fields are ignored with one warning per field name. Each
     distinct answer text is canonicalized once per call, and kept as one
-    string. Each record is kept as one row of its problem, and a problem's
-    rows become its columns when its run of lines ends; a problem whose
-    lines come back is re-opened as rows and stays rows to the end of the
-    input. At the end (or at a line that is not a record) the columns are
-    checked, problem by problem, and the first bad record in line order
-    names its line. Then each problem's rules are checked, and it is built
-    from its columns.
+    string. Each record is kept as one row of its problem until the
+    problem's run of lines ends, at the first line that names another
+    problem; then the run's records are checked in bulk, and the first bad
+    one in line order names its line (a line that is not a record is
+    reported only after the open run passes). A problem's first run is
+    then checked and built into its columns at once, so on contiguous
+    input the rows of one run exist at a time. A problem whose lines come
+    back keeps its runs' columns, and a problem that breaks a rule keeps
+    its own; each is joined and built once every record has passed, and
+    the first such problem in first-seen order raises its fault.
     """
     stream, owned = _open_source(source)
-    pools: dict[str, Union[list, tuple]] = {}  # rows, or columns
+    pools: dict[str, Union[Problem, list]] = {}  # Problems, or runs' columns
     answers = _Answers(canon)  # for this call only
     warned: set[str] = set()
-    reopened: set[str] = set()
-    last = rows = None
+    last, rows = None, []
     try:
         for lineno, line in enumerate(stream, 1):
             if not line.strip():
@@ -178,7 +194,7 @@ def ingest(source: Source, canon: str = "exact") -> list[Problem]:
             try:
                 record = _parse_line(lineno, line)
             except IngestError:  # the records before it are checked first
-                _check_records(_all_columns(pools, answers))
+                _end_run(pools, last, rows, answers)
                 raise
             if not _KNOWN_FIELDS.issuperset(record):
                 for key in record.keys() - _KNOWN_FIELDS:
@@ -189,25 +205,21 @@ def ingest(source: Source, canon: str = "exact") -> list[Problem]:
                             "ignoring unknown record field %r", key)
             pid = record["problem_id"]
             if pid != last:  # last's run of lines ends
-                if last is not None and last not in reopened:
-                    pools[last] = _columns(rows, answers)
-                rows = pools.get(pid)
-                if rows is None:
-                    rows = pools[pid] = []
-                elif isinstance(rows, tuple):
-                    rows = pools[pid] = _rows(rows)
-                    reopened.add(pid)
-                last = pid
+                _end_run(pools, last, rows, answers)
+                last, rows = pid, []
             rows.append((lineno, *map(record.get, _ROW_FIELDS, _ROW_DEFAULTS)))
     finally:
         if owned:
             stream.close()
 
+    _end_run(pools, last, rows, answers)
     if not pools:
         raise IngestError("no problems")
-    _check_records(_all_columns(pools, answers))
-    return [Problem._of_columns(**_checked_columns(pid, *pools.pop(pid)[1:]))
-            for pid in list(pools)]
+    for pid, runs in pools.items():  # first-seen order: the first fault raises
+        if not isinstance(runs, Problem):
+            columns = (tuple(chain.from_iterable(run)) for run in zip(*runs))
+            pools[pid] = Problem._of_columns(**_checked_columns(pid, *columns))
+    return list(pools.values())
 
 
 def ingest_stats(problems: Sequence[Problem]) -> IngestStats:

@@ -107,7 +107,7 @@ def generate_pool(spec: SynthSpec) -> list[Problem]:
     with probability wrong_tail, by a draw from Beta(20,1); gen_scores are
     left as they are. Token counts are the SynthSpec constants,
     identical on every candidate. Each problem is built as columns, by the
-    check-and-build step of ingest; its Candidates, on first use.
+    check-and-build step of ingest; its Candidates, on each read.
 
     Per problem, draws come from one Philox stream in a fixed order: labels,
     wrong answers, disc scores, gen scores, then (only when wrong_tail > 0)

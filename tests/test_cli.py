@@ -199,7 +199,7 @@ class TestCurve:
         ])
         assert code == 2 and "error: no measurement" in err
 
-    @pytest.mark.parametrize("flags, error", [
+    BAD_GRIDS = [
         (["--methods", ""], "methods is empty"),
         (["--methods", " , "], "methods is empty"),
         (["--n-grid", ","], "n_grid is empty"),
@@ -207,7 +207,9 @@ class TestCurve:
         (["--methods", "sc,sc"], "methods repeats 'sc'"),
         (["--methods", "sc,gpv", "--m-grid", "1,2,1"], "m_grid repeats 1"),
         (["--n-grid", "1,2,1"], "n_grid repeats 1"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("flags, error", BAD_GRIDS)
     def test_bad_grid_refused(self, capsys, tmp_path, flags, error):
         """An empty or repeating grid ends in an error naming it, not in a
         bare header or points printed twice."""
@@ -218,6 +220,21 @@ class TestCurve:
         ])
         assert (code, out) == (2, "")
         assert err.endswith(f"error: {error}\n")
+
+    @pytest.mark.parametrize("flags, error", BAD_GRIDS + [
+        (["--methods", "foo"], "unknown selection method: 'foo'"),
+        (["--methods", "sc,foo"], "unknown selection method: 'foo'"),
+    ])
+    def test_bad_grid_refused_before_the_input_is_read(self, capsys, tmp_path,
+                                                       flags, error):
+        """A bad method list or grid fails without an `ingested` line, as
+        the configs do."""
+        data = simulate(capsys, tmp_path / "pools.jsonl", gen_verifications=2)
+        code, out, err = run(capsys, [
+            "curve", "-i", data, "--solver-preset", "qwen2.5-32b", *flags,
+        ])
+        assert (code, out) == (2, "")
+        assert "ingested" not in err and err.endswith(f"error: {error}\n")
 
     def test_m_grid_unread_without_gpv(self, capsys, tmp_path):
         """Without gpv no M is read, so the M grid may be empty or repeat."""

@@ -1154,7 +1154,7 @@ class TestColumnarHotPaths:
         assert ingest_stats(problems).candidates == 32
         assert not any("candidates" in vars(p) for p in problems)
         assert len(problems[0].candidates) == 8  # built when asked for
-        assert "candidates" in vars(problems[0])
+        assert "candidates" not in vars(problems[0])  # and not kept
 
     def test_budget_curve_builds_token_stats_once(self, made, monkeypatch):
         problems = self.problems()

@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,23 @@ class TestIngest:
         # also when a line that is not a record ends the input
         with pytest.raises(IngestError, match="^line 5: "):
             ingest_text("\n".join(bad + ["[1]"]))
+
+    def test_lines_that_come_back_are_joined_once(self, monkeypatch):
+        """A problem is built at the end of its first run and, if its lines
+        come back, once more at the end of the input: not at every run,
+        which would cost the square of its runs on interleaved input."""
+        built = []
+
+        def counted(pid, *columns):
+            built.append(pid)
+            return checked_columns(pid, *columns)
+
+        checked_columns = records._checked_columns
+        monkeypatch.setattr(records, "_checked_columns", counted)
+        a, b = ingest_text("\n".join(line(problem_id=pid, candidate_id=f"c{i}")
+                                     for i in range(50) for pid in "AB"))
+        assert a.candidate_ids == b.candidate_ids == tuple(f"c{i}" for i in range(50))
+        assert built == ["A", "B", "A", "B"]
 
     def test_equal_answer_texts_share_one_string(self):
         """Problems keep one string per distinct answer text; they equal,
@@ -312,6 +330,81 @@ class TestIngestErrors:
         ingest_text(text, canon="exact")
         with pytest.raises(IngestError, match="graded both"):
             ingest_text(text, canon="numeric")
+
+    def test_bad_record_in_a_run_that_came_back(self):
+        """A, B, A, C: the first bad record in line order is named, though
+        its problem's lines came back."""
+        text = "\n".join([
+            line(problem_id="A", candidate_id="a1"),
+            line(problem_id="B", candidate_id="b1"),
+            line(problem_id="A", candidate_id="a2"),
+            line(problem_id="A", candidate_id="a3", disc_score="x"),
+            line(problem_id="C", candidate_id="c1", correct="yes"),
+        ])
+        with pytest.raises(IngestError, match="^line 4: disc_score"):
+            ingest_text(text)
+
+    def test_bad_record_before_an_earlier_problems_fault(self):
+        text = "\n".join([
+            line(problem_id="A"), line(problem_id="A"),  # duplicate ids
+            line(problem_id="B", prompt_tokens=-1),
+        ])
+        with pytest.raises(IngestError, match="^line 3: invalid token count"):
+            ingest_text(text)
+
+    def test_problem_faults_in_first_seen_order(self):
+        """B's fault is whole before A's, but A was seen first."""
+        text = "\n".join([
+            line(problem_id="A", candidate_id="a1", disc_score=1.0),
+            line(problem_id="B", candidate_id="b1", disc_score=1.0),
+            line(problem_id="B", candidate_id="b2"),
+            line(problem_id="A", candidate_id="a2"),
+        ])
+        with pytest.raises(IngestError) as excinfo:
+            ingest_text(text)
+        assert str(excinfo.value) == (
+            "problem 'A': disc_score present on 1 of 2 candidates "
+            "(must be all or none)")
+
+    def test_candidate_id_repeated_across_runs(self):
+        text = "\n".join([line(problem_id="A"), line(problem_id="B"),
+                          line(problem_id="A")])
+        with pytest.raises(IngestError, match="^problem 'A': duplicate candidate_ids$"):
+            ingest_text(text)
+
+    def test_bad_record_in_an_ended_run_before_invalid_json(self):
+        text = "\n".join([line(problem_id="A", gen_scores=[]),
+                          line(problem_id="B"), "{oops"])
+        with pytest.raises(IngestError, match="^line 1: candidate 'c1': gen_scores"):
+            ingest_text(text)
+
+
+class TestIngestMemory:
+    def test_peak_near_what_ingest_keeps(self):
+        """Each problem's records become its columns when its run of lines
+        ends, so ingest's traced peak stays near what its result holds."""
+        text = records_text(generate_pool(SynthSpec(
+            seed=1, n_problems=200, pool_size=64, p_correct=0.3, answer_space=8,
+            gen_verifications=8)))
+        source = io.StringIO(text)
+        tracemalloc.start()
+        try:
+            problems = ingest(source)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(problems) == 200
+        assert peak <= 1.3 * kept, (peak, kept)
+
+    def test_candidates_are_built_on_each_read(self):
+        (problem,) = ingest_text(line(candidate_id="c1", disc_score=1.0, gen_scores=[2])
+                                 + "\n" + line(candidate_id="c2", disc_score=0.5,
+                                                gen_scores=[1]))
+        first = problem.candidates
+        assert problem.candidates == first and problem.candidates is not first
+        assert "candidates" not in vars(problem)
+        given = (Candidate("c1"), Candidate("c2"))
+        assert Problem("p", given).candidates is given
 
 
 TOKEN_FIELDS = (

@@ -26,7 +26,7 @@ from .costs import (
     ModelConfig,
     pipeline_breakdown,
 )
-from .evaluate import EvalConfig, _check_curve_grids, bootstrap_accuracy, budget_curve
+from .evaluate import EvalConfig, _curve_runs, bootstrap_accuracy, budget_curve
 from .records import emit_report, ingest, ingest_stats, records_text
 from .selection import METHODS, SCORE_TRANSFORMS, select_answer
 
@@ -100,10 +100,9 @@ def cmd_curve(args: argparse.Namespace) -> int:
         latency_table=table,
         cfg=_from_flags(EvalConfig, args, n=1),
         verification_out_tokens=args.verify_out,
-        jobs=args.jobs,
     )
-    _check_curve_grids(curve["methods"], curve["n_grid"], curve["m_grid"])
-    points = budget_curve(_read_problems(args), **curve)
+    _curve_runs(**curve)  # every point is checked before the input is read
+    points = budget_curve(_read_problems(args), **curve, jobs=args.jobs)
     _write_out(emit_report(points, args.format), args.output)
     return 0
 
@@ -125,8 +124,10 @@ def cmd_cost(args: argparse.Namespace) -> int:
         if given:
             raise ValueError(f"{', '.join(given)} not allowed with -i: the records "
                              "give the token counts")
-        problems = _read_problems(args)
-        stats = [st for p in problems for st in p.token_stats]
+        # priced on no candidates first: the flags are refused before -i is read
+        pipeline_breakdown(solver, verifier, (), args.mode, args.m_verifications,
+                           args.verify_out)
+        stats = [st for p in _read_problems(args) for st in p.token_stats]
     else:
         count = 1 if args.count is None else args.count
         if count < 0:  # [stats] * count would be an empty pool

@@ -277,10 +277,11 @@ class Candidate:
 
 
 def _fill(candidate: Candidate, candidate_id, answer_raw, answer_key, correct,
-          disc_score, gen_scores, token_stats) -> None:
-    """Store a Candidate's fields, which were checked, and its cluster_key.
-    Each is stored in field order, so the instance dict shares its keys
-    with every other Candidate's (dict.update would give each its own)."""
+          disc_score, gen_scores, token_stats) -> Candidate:
+    """Store a Candidate's fields, which were checked, and its cluster_key,
+    and return it. Each is stored in field order, so the instance dict
+    shares its keys with every other Candidate's (dict.update would give
+    each its own)."""
     stored = candidate.__dict__
     stored["candidate_id"] = candidate_id
     stored["answer_raw"] = answer_raw
@@ -290,6 +291,7 @@ def _fill(candidate: Candidate, candidate_id, answer_raw, answer_key, correct,
     stored["gen_scores"] = gen_scores
     stored["token_stats"] = token_stats
     stored["cluster_key"] = answer_key or NO_ANSWER_KEY
+    return candidate
 
 
 class AnswerColumns(NamedTuple):
@@ -403,16 +405,17 @@ class Problem:
     pool carries no such scores; tokens holds the five TokenStats fields as
     columns of exact ints. Every Problem stores these columns, built by
     _checked_columns, which checks them (_check_problem states what is
-    valid, and nothing downstream checks it again). Built in code, a
-    Problem reads its Candidates' fields into columns and keeps the
-    Candidates as candidates; built by ingest or generate_pool, or
-    unpickled, it builds candidates from the columns on each read, with no
-    second check, and keeps none.
+    valid, and nothing downstream checks it again); _plain_columns reads
+    them back, as plain values, in the form _checked_columns takes, so a
+    Problem rebuilt from them is equal. Built in code, a Problem keeps
+    the caller's Candidates as candidates; built by ingest or
+    generate_pool, or unpickled, it builds them from _plain_columns on each
+    read, with no second check, and keeps none.
     token_stats holds each candidate's TokenStats, built on first use, and
     _kept what the rules derive from the columns (selection._scored). repr
     is that of a dataclass of (problem_id, candidates); == and hash compare
-    the columns, which is == of the candidates. A Problem is immutable and
-    pickles as its columns.
+    problem_id and _plain_columns, which is == of the candidates. A Problem
+    is immutable and pickles as its arrays, not as plain values.
     """
 
     def __init__(self, problem_id: str, candidates: Iterable[Candidate]) -> None:
@@ -436,19 +439,12 @@ class Problem:
     @property
     def candidates(self) -> tuple[Candidate, ...]:
         """The pool as Candidates: those a Problem built in code was given,
-        else Candidates built from the columns on each read, and not kept."""
+        else Candidates built from _plain_columns on each read, not kept."""
         kept = self.__dict__.get("candidates")
         if kept is not None:
             return kept
-        disc = repeat(None) if self.disc is None else self.disc.tolist()
-        gen = repeat(None) if self.gen is None else map(tuple, self.gen.tolist())
-        candidates = []
-        for row in zip(self.candidate_ids, self.answers, self.answer_keys,
-                       self.labels, disc, gen, self.token_stats):
-            candidate = object.__new__(Candidate)
-            _fill(candidate, *row)
-            candidates.append(candidate)
-        return tuple(candidates)
+        return tuple(_fill(object.__new__(Candidate), *row)
+                     for row in zip(*self._plain_columns()[:6], self.token_stats))
 
     @cached_property
     def token_stats(self) -> tuple[TokenStats, ...]:
@@ -482,20 +478,25 @@ class Problem:
     def labeled(self) -> bool:
         return self.labels[0] is not None
 
-    def _values(self) -> tuple:
-        """What == and hash compare: every column, as plain values."""
-        disc = None if self.disc is None else tuple(self.disc.tolist())
-        gen = None if self.gen is None else tuple(map(tuple, self.gen.tolist()))
-        return (self.problem_id, self.candidate_ids, self.answers, self.answer_keys,
-                self.labels, disc, gen, self.tokens)
+    def _plain_columns(self) -> tuple:
+        """The columns as _checked_columns takes them, as plain values: ids,
+        answers, answer keys, labels, disc (floats) and gen (tuples of
+        floats), each of those two a column of None when absent, then the
+        five token columns. The one reader of disc and gen as values."""
+        absent = (None,) * len(self)
+        disc = absent if self.disc is None else tuple(self.disc.tolist())
+        gen = absent if self.gen is None else tuple(map(tuple, self.gen.tolist()))
+        return (self.candidate_ids, self.answers, self.answer_keys, self.labels,
+                disc, gen, *self.tokens)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return ((self.problem_id, *self._plain_columns())
+                == (other.problem_id, *other._plain_columns()))
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash((self.problem_id, *self._plain_columns()))
 
     def __repr__(self) -> str:
         return (f"{type(self).__qualname__}(problem_id={self.problem_id!r}, "

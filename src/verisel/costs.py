@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -52,16 +52,26 @@ class ModelConfig:
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "ModelConfig":
-        """Parse a small key-value file: one `name = value` per line."""
+        """Parse a small key-value file: one `name = value` per line, each
+        of d, m, L and V once, as an integer; `#` starts a comment. A line
+        that breaks this is refused with a ValueError naming path:line."""
         fields = {}
         for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             key, sep, value = line.partition("=")
+            key = key.strip()
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected `name = value`")
-            fields[key.strip()] = int(value.strip())
+            if key not in ("d", "m", "L", "V") or key in fields:
+                what = "repeated" if key in fields else "unknown"
+                raise ValueError(f"{path}:{lineno}: {what} field {key!r}")
+            try:
+                fields[key] = int(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} must be an integer, "
+                                 f"got {value.strip()!r}") from None
         missing = {"d", "m", "L", "V"} - fields.keys()
         if missing:
             raise ValueError(f"{path}: missing fields {sorted(missing)}")
@@ -95,31 +105,14 @@ class FlopsBreakdown:
             raise ValueError(f"inconsistent breakdown: {self}")
 
     def __add__(self, other: "FlopsBreakdown") -> "FlopsBreakdown":
-        return FlopsBreakdown(
-            projections=self.projections + other.projections,
-            attention_prefill=self.attention_prefill + other.attention_prefill,
-            attention_decode=self.attention_decode + other.attention_decode,
-            lm_head=self.lm_head + other.lm_head,
-            total=self.total + other.total,
-        )
+        return FlopsBreakdown(*map(add, self.as_dict().values(), other.as_dict().values()))
 
     def scaled(self, k: int) -> "FlopsBreakdown":
-        return FlopsBreakdown(
-            projections=self.projections * k,
-            attention_prefill=self.attention_prefill * k,
-            attention_decode=self.attention_decode * k,
-            lm_head=self.lm_head * k,
-            total=self.total * k,
-        )
+        return FlopsBreakdown(*(part * k for part in self.as_dict().values()))
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "projections": self.projections,
-            "attention_prefill": self.attention_prefill,
-            "attention_decode": self.attention_decode,
-            "lm_head": self.lm_head,
-            "total": self.total,
-        }
+        """The fields by name, in field order."""
+        return dict(vars(self))
 
 
 ZERO_FLOPS = FlopsBreakdown(0, 0, 0, 0, 0)

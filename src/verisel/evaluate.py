@@ -43,7 +43,8 @@ except ImportError:
 import numpy as np
 
 from .core import Problem, _check_int, _check_number
-from .costs import LatencyTable, ModelConfig, latency_lookup, pipeline_flops
+from .costs import (LatencyTable, ModelConfig, latency_lookup, pipeline_breakdown,
+                    pipeline_flops)
 from .selection import (
     METHODS,
     _alpha_or_default,
@@ -60,7 +61,8 @@ _MAX_EXHAUSTIVE_SLATES = 10**6  # per problem, for bootstrap_accuracy
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """One evaluation run: slate size, method, draw count, and RNG seed."""
+    """One evaluation run: slate size, method, draw count, and RNG seed.
+    gpv's m_verifications is an int >= 1, or None for the data's one M."""
 
     n: int
     method: str = "sc"
@@ -91,6 +93,10 @@ class EvalConfig:
             raise ValueError(f"ci_level out of (0,1): {self.ci_level}")
         if self.method not in METHODS:
             raise ValueError(f"unknown selection method: {self.method!r}")
+        if self.method == "gpv" and self.m_verifications is not None:
+            _check_int("m_verifications", self.m_verifications)
+            if self.m_verifications < 1:
+                raise ValueError(f"invalid verification count: {self.m_verifications}")
         if self.ci_method not in ("normal", "percentile"):
             raise ValueError(f"unknown ci method: {self.ci_method!r}")
         _transform_fn(self.transform)  # raises as select_answer does
@@ -583,12 +589,20 @@ def _curve_point(problems: Sequence[Problem], cfg: EvalConfig) -> BootstrapRepor
     return bootstrap_accuracy(problems, cfg, jobs=1)
 
 
-def _check_curve_grids(methods: Sequence[str], n_grid: Sequence[int],
-                       m_grid: Sequence[int]) -> None:
-    """ValueError unless methods, n_grid and, when gpv is among the methods,
-    m_grid are each non-empty with no value repeated, and every method is
-    known: budget_curve's checks of its grids, which the CLI makes before
-    it reads the input."""
+def _curve_runs(methods, n_grid, m_grid=(2,), solver_cfg=None, verifier_cfg=None,
+                budget_mode="flops", latency_table=None, cfg=None,
+                verification_out_tokens=None) -> list[EvalConfig]:
+    """budget_curve's checks of all it is given but the problems, which the
+    CLI makes before it reads the input; then each point's EvalConfig, by
+    method (gpv's by M), N ascending. Each point is priced on no
+    candidates, so a table that lacks it, or a verifier method without a
+    verifier config, is refused here."""
+    if budget_mode not in ("flops", "latency"):
+        raise ValueError(f"unknown budget mode: {budget_mode!r}")
+    if budget_mode == "latency" and latency_table is None:
+        raise ValueError("latency budget needs a latency table")
+    if budget_mode == "flops" and solver_cfg is None:
+        raise ValueError("flops budget needs a solver config")
     for name, grid in (("methods", methods), ("n_grid", n_grid),
                        ("m_grid", m_grid if "gpv" in methods else [0])):
         if not grid:
@@ -596,9 +610,18 @@ def _check_curve_grids(methods: Sequence[str], n_grid: Sequence[int],
         repeated = [v for i, v in enumerate(grid) if v in grid[:i]]
         if repeated:
             raise ValueError(f"{name} repeats {repeated[0]!r}")
-    for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown selection method: {method!r}")
+    base = cfg if cfg is not None else EvalConfig(n=1)
+    runs = [dataclasses.replace(base, n=n, method=method, m_verifications=m)
+            for method in methods for m in (m_grid if method == "gpv" else [None])
+            for n in sorted(n_grid)]
+    for run in runs:
+        mode, m = _PIPELINE_MODE[run.method], run.m_verifications or 0
+        if budget_mode == "latency":
+            latency_lookup(latency_table, mode, run.n, m)
+        else:
+            pipeline_breakdown(solver_cfg, verifier_cfg, (), mode, m_verifications=m,
+                               verification_out_tokens=verification_out_tokens)
+    return runs
 
 
 def budget_curve(
@@ -621,28 +644,22 @@ def budget_curve(
     M verification generations for gpv), averaged over problems. The
     latency budget is looked up from measured wall-clock data at (N, M)
     exactly; absent measurements are errors. gpv expands over m_grid; other
-    methods report m=0. methods, n_grid and, when gpv is among the
-    methods, m_grid must each be non-empty, with no value repeated.
+    methods report m=0. Every argument but the problems is checked first,
+    by _curve_runs, which gives each point's EvalConfig.
 
     Each problem's pipeline FLOPs are computed once per (mode, M) and
     reused across the N grid, from its token_stats, built once. With
     jobs > 1 the points are split across one process pool, which receives
     the problems once per worker.
     """
-    if budget_mode not in ("flops", "latency"):
-        raise ValueError(f"unknown budget mode: {budget_mode!r}")
-    if budget_mode == "latency" and latency_table is None:
-        raise ValueError("latency budget needs a latency table")
-    if budget_mode == "flops" and solver_cfg is None:
-        raise ValueError("flops budget needs a solver config")
+    runs = _curve_runs(methods, n_grid, m_grid, solver_cfg, verifier_cfg,
+                       budget_mode, latency_table, cfg, verification_out_tokens)
     if not problems:
         raise ValueError("no problems")
-    _check_curve_grids(methods, n_grid, m_grid)
-    base = cfg if cfg is not None else EvalConfig(n=1)
     pipeline_costs: dict[tuple[str, int], list[int]] = {}
 
-    def point_budget(method: str, n: int, m: int) -> float:
-        mode = _PIPELINE_MODE[method]
+    def point_budget(run: EvalConfig) -> float:
+        mode, n, m = _PIPELINE_MODE[run.method], run.n, run.m_verifications or 0
         if budget_mode == "latency":
             return latency_lookup(latency_table, mode, n, m)
         if (mode, m) not in pipeline_costs:
@@ -661,36 +678,28 @@ def budget_curve(
         ]
         return float(np.mean(per_problem))
 
-    # Every budget is worked out, and checked, before any slate is drawn.
-    plan = []
-    ns = sorted(n_grid)
-    for method in methods:
-        for m in m_grid if method == "gpv" else (0,):
-            budgets = [point_budget(method, n, m) for n in ns]
-            if any(b1 <= b0 for b0, b1 in zip(budgets, budgets[1:])):
-                raise ValueError(
-                    f"budget not strictly increasing for {method!r}: {budgets}"
-                )
-            plan += [(method, m, n, b) for n, b in zip(ns, budgets)]
+    # Every budget is worked out, and checked, before any slate is drawn;
+    # each method's line (gpv's, each M's) is len(n_grid) runs in a row.
+    budgets: list[float] = []
+    for start in range(0, len(runs), len(n_grid)):
+        line = [point_budget(run) for run in runs[start:start + len(n_grid)]]
+        if any(b1 <= b0 for b0, b1 in zip(line, line[1:])):
+            raise ValueError(
+                f"budget not strictly increasing for {runs[start].method!r}: {line}"
+            )
+        budgets += line
 
-    runs = [
-        dataclasses.replace(
-            base, n=n, method=method,
-            m_verifications=m if method == "gpv" else None,
-        )
-        for method, m, n, _ in plan
-    ]
     reports = _map_problems(_curve_point, problems,
                             [(slice(None), run) for run in runs], jobs)
 
     return [
         BudgetPoint(
-            method=method, n=n, m=m, budget=budget,
+            method=run.method, n=run.n, m=run.m_verifications or 0, budget=budget,
             accuracy=report.mean,
             ci_low=report.ci_low,
             ci_high=report.ci_high,
         )
-        for (method, m, n, budget), report in zip(plan, reports)
+        for run, budget, report in zip(runs, budgets, reports)
     ]
 
 

@@ -18,7 +18,7 @@ import json
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from itertools import chain, repeat
+from itertools import chain
 from typing import IO, TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .core import (
@@ -126,23 +126,15 @@ def _record_fault(columns: Sequence[tuple]) -> Optional[str]:
     return _token_fault(*columns[7:]) or _candidate_fault(*columns[1:7])
 
 
-def _columns_of(problem: Problem) -> tuple:
-    """A Problem's columns as _checked_columns takes them."""
-    absent = (None,) * len(problem)
-    disc = absent if problem.disc is None else tuple(problem.disc.tolist())
-    gen = absent if problem.gen is None else tuple(problem.gen.tolist())
-    return (problem.candidate_ids, problem.answers, problem.answer_keys,
-            problem.labels, disc, gen, *problem.tokens)
-
-
 def _end_run(pools: dict[str, Union[Problem, list]], pid: Optional[str],
              rows: Sequence[tuple], answers: _Answers) -> None:
     """pid's run of lines ends. Raise the IngestError of the run's first bad
     record: the run is checked as columns in bulk, and only a failing one
     row by row. Else, for pid's first run, check and build its columns into
     pools[pid], a Problem. A problem that breaks a rule, or whose lines
-    come back, is kept as the list of its runs' columns, which ingest joins
-    and builds, raising any fault, once every record is checked."""
+    come back, is kept as the list of its runs' columns (a built first
+    run's read back by Problem._plain_columns), which ingest joins and
+    builds, raising any fault, once every record is checked."""
     if not rows:
         return
     columns = _columns(rows, answers)
@@ -160,7 +152,7 @@ def _end_run(pools: dict[str, Union[Problem, list]], pid: Optional[str],
         except IngestError:  # raised once every record is checked
             runs = pools[pid] = []
     elif isinstance(runs, Problem):  # pid's lines came back: joined at the end,
-        runs = pools[pid] = [_columns_of(runs)]  # not rebuilt at each run
+        runs = pools[pid] = [runs._plain_columns()]  # not rebuilt at each run
     runs.append(columns)
 
 
@@ -277,16 +269,13 @@ _encode = json.encoder.c_make_encoder(
 def write_records(problems: Iterable[Problem], stream: IO[str]) -> None:
     """Emit problems in the ingestible line format, full float precision:
     each record's line is json.dumps(record), one write per problem. Reads
-    each problem's columns."""
+    each problem's columns as Problem._plain_columns gives them."""
     for problem in problems:
         chunks: list[str] = []
-        disc = repeat(None) if problem.disc is None else problem.disc.tolist()
-        gen = repeat(None) if problem.gen is None else problem.gen.tolist()
         pid = problem.problem_id
-        for cid, raw, label, d, g, p, o, s, b, v in zip(
-                problem.candidate_ids, problem.answers, problem.labels, disc, gen,
-                *problem.tokens):
-            chunks += _encode(_record(pid, cid, raw, label, d, g, p, o, s, b, v), 0)
+        ids, raws, _, *rest = problem._plain_columns()  # no answer keys
+        for row in zip(ids, raws, *rest):
+            chunks += _encode(_record(pid, *row), 0)
             chunks.append("\n")
         stream.write("".join(chunks))
 

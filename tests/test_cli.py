@@ -110,6 +110,8 @@ class TestEvaluate:
         (["evaluate", "--method", "pv", "-n", "2", "--alpha", "nan"],
          "invalid alpha: nan"),
         (["curve", "--methods", "sc", "--draws", "0"], "invalid draw count: 0"),
+        (["evaluate", "--method", "gpv", "-n", "2", "-M", "0"],
+         "invalid verification count: 0"),
         (["curve", "--solver-preset", "qwen2.5-32b", "--solver-config", "x.txt"],
          "give a preset or a config file, not both"),
     ])
@@ -233,6 +235,25 @@ class TestCurve:
         code, out, err = run(capsys, [
             "curve", "-i", data, "--solver-preset", "qwen2.5-32b", *flags,
         ])
+        assert (code, out) == (2, "")
+        assert "ingested" not in err and err.endswith(f"error: {error}\n")
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--methods", "sc", "--n-grid", "1,2"], "flops budget needs a solver config"),
+        (["--solver-preset", "qwen2.5-32b"], "verifier config required"),
+        (["--solver-preset", "qwen2.5-32b", "--methods", "sc", "--n-grid", "0,1"],
+         "invalid slate size: 0"),
+        (["--solver-preset", "qwen2.5-32b", "--verifier-preset", "qwen2.5-1.5b",
+          "--methods", "gpv", "--m-grid", "0"], "invalid verification count: 0"),
+        (["--budget", "latency", "--methods", "sc", "--n-grid", "1,3"],
+         "no measurement for (generation, N=3, M=0)"),
+    ], ids=["no-solver", "no-verifier", "slate-size-0", "m-0", "latency-gap"])
+    def test_bad_point_refused_before_the_input_is_read(self, capsys, tmp_path,
+                                                        flags, error):
+        """A point no input could price or evaluate fails without an
+        `ingested` line: each of these once read the whole input first."""
+        data = simulate(capsys, tmp_path / "pools.jsonl", gen_verifications=2)
+        code, out, err = run(capsys, ["curve", "-i", data, *flags])
         assert (code, out) == (2, "")
         assert "ingested" not in err and err.endswith(f"error: {error}\n")
 
@@ -372,6 +393,33 @@ class TestCost:
         assert (code, out) == (2, "")
         assert err == (f"error: {named} not allowed with -i: the records give "
                        "the token counts\n")
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--mode", "disc"], "verifier config required"),
+        (["--mode", "gen", "-M", "-1", "--verifier-preset", "qwen2.5-1.5b"],
+         "invalid verification count: -1"),
+    ], ids=["no-verifier", "m-negative"])
+    def test_bad_flag_refused_before_the_input_is_read(self, capsys, tmp_path,
+                                                       flags, error):
+        # these once printed the `ingested` line first
+        data = simulate(capsys, tmp_path / "pools.jsonl")
+        code, out, err = run(capsys, ["cost", "-i", data, "--solver-preset",
+                                      "qwen2.5-32b", *flags])
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+
+    @pytest.mark.parametrize("text, error", [
+        ("d = 8\nfoo = 3\n", "cfg:2: unknown field 'foo'"),
+        ("d = 1.5\n", "cfg:1: d must be an integer, got '1.5'"),
+        ("d = 8\nm = 2\n\nd = 9\n", "cfg:4: repeated field 'd'"),
+    ], ids=["unknown", "not-an-int", "repeated"])
+    def test_bad_config_file_named(self, capsys, tmp_path, text, error):
+        # an unknown field once ended in a raw TypeError, 1.5 in int()'s
+        # message, and a repeated field took its last value
+        cfg = tmp_path / "cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, ["cost", "--solver-config", str(cfg),
+                                      "--prompt-tokens", "1"])
+        assert (code, out, err) == (2, "", f"error: {tmp_path}/{error}\n")
 
     def test_solver_required(self, capsys):
         code, _, err = run(capsys, ["cost", "--prompt-tokens", "1"])

@@ -67,6 +67,19 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="2"):
             ModelConfig.from_file(path)
 
+    @pytest.mark.parametrize("text, error", [
+        ("d = 16\nfoo = 3\n", ":2: unknown field 'foo'"),
+        ("d = 16\nm = 1.5\n", ":2: m must be an integer, got '1.5'"),
+        ("d = 16\nm = \n", ":2: m must be an integer, got ''"),
+        ("d = 8\nm = 64\nd = 9\n", ":3: repeated field 'd'"),
+    ], ids=["unknown", "float", "empty", "repeated"])
+    def test_from_file_names_the_line(self, tmp_path, text, error):
+        path = tmp_path / "model.cfg"
+        path.write_text(text + "L = 2\nV = 100\n")
+        with pytest.raises(ValueError) as excinfo:
+            ModelConfig.from_file(path)
+        assert str(excinfo.value) == f"{path}{error}"
+
     def test_presets(self):
         assert MODEL_PRESETS["qwen2.5-32b"] == ModelConfig(
             d=5120, m=27648, L=64, V=152064

@@ -196,6 +196,20 @@ class TestEvalConfig:
             with pytest.raises(ValueError, match=f"invalid alpha: {alpha}"):
                 EvalConfig(n=1, method=method, alpha=alpha)
 
+    @pytest.mark.parametrize("m, error", [
+        (0, "invalid verification count: 0"), (-2, "invalid verification count: -2"),
+        (2.0, "m_verifications must be an int, got 2.0"),
+        (True, "m_verifications must be an int, got True"),
+    ])
+    def test_gpv_m_is_a_count(self, m, error):
+        # M = 0 was once accepted here and refused only as "inconsistent M"
+        # once a slate was scored
+        with pytest.raises(ValueError, match=re.escape(error)):
+            EvalConfig(n=1, method="gpv", m_verifications=m)
+        assert EvalConfig(n=1, method="gpv", m_verifications=1).m_verifications == 1
+        assert EvalConfig(n=1, method="gpv").m_verifications is None  # the data's M
+        assert EvalConfig(n=1, method="sc", m_verifications=m).m_verifications == m
+
     def test_alpha_defaults(self):
         assert EvalConfig(n=1, method="pv").effective_alpha == 0.5
         assert EvalConfig(n=1, method="gpv").effective_alpha == 0.1

@@ -1,11 +1,13 @@
 """CLI stdout pinned byte for byte on one small synthetic dataset.
 
 Each command of COMMANDS runs in process through cli.main on the pools
-that `verisel --seed 42 simulate` writes with DATASET's flags, and the
-SHA-256 of its stdout must equal the one recorded in HASHES. The hashes
-were recorded from the code before the rule inputs moved to
-selection._scored (see CHANGES.md), so a change that means to keep every
-output keeps them. After a change that means to alter an output, print
+that `verisel --seed 42 simulate` writes with DATASET's flags, each of
+EMITTERS with no input, and the SHA-256 of its stdout must equal the one
+recorded in HASHES. The hashes were recorded from the code before the
+rule inputs moved to selection._scored, and those of `simulate` and
+`cost -i` from the code before a Problem's columns were read back in one
+place, Problem._plain_columns (see CHANGES.md), so a change that means
+to keep every output keeps them. After a change that means to alter an output, print
 the new table with
 
     PYTHONPATH=src python tests/test_output_hashes.py
@@ -26,8 +28,8 @@ from verisel.selection import METHODS
 DATASET = ["--n-problems", "12", "--pool-size", "16", "--answer-space", "3",
            "--gen-verifications", "4"]
 _CURVE = ["curve", "--methods", ",".join(METHODS), "--draws", "30"]
-_FLOPS = [*_CURVE, "--n-grid", "1,2,4,8", "--m-grid", "1,2,4",
-          "--solver-preset", "qwen2.5-32b", "--verifier-preset", "qwen2.5-1.5b",
+_MODELS = ["--solver-preset", "qwen2.5-32b", "--verifier-preset", "qwen2.5-1.5b"]
+_FLOPS = [*_CURVE, "--n-grid", "1,2,4,8", "--m-grid", "1,2,4", *_MODELS,
           "--verify-out", "64"]
 
 # name -> argv after the global --seed 42; the input goes last, as -i
@@ -40,6 +42,14 @@ COMMANDS = {
     "curve flops --jobs 2": ["--jobs", "2", *_FLOPS],
     "curve latency": [*_CURVE, "--n-grid", "1,2,4", "--m-grid", "2",
                       "--budget", "latency", "--format", "json"],
+    "cost -i disc": ["cost", "--mode", "disc", *_MODELS],
+    "cost -i gen": ["cost", "--mode", "gen", "-M", "4", *_MODELS, "--verify-out", "64"],
+}
+
+# name -> argv after the global --seed 42, for commands that read no input
+EMITTERS = {
+    "simulate": ["simulate", *DATASET],
+    "simulate --verify-out 64": ["simulate", *DATASET, "--verify-out", "64"],
 }
 
 HASHES = {
@@ -61,6 +71,10 @@ HASHES = {
     "curve flops --jobs 1": "bbcf314f652ae306822fdb7d0c1f007450051f3b37ce86a0b0d9c8fcfd29c1c1",
     "curve flops --jobs 2": "bbcf314f652ae306822fdb7d0c1f007450051f3b37ce86a0b0d9c8fcfd29c1c1",
     "curve latency": "6705c52bc33c4e9ef4c91d70b5c90fbe72d2a36b7a933ae5271b15fb9cf4f2f1",
+    "cost -i disc": "3b52108ef77b1828e3ef8e15ba9593005057a8eb5d5755ccc1b441f7642e0393",
+    "cost -i gen": "c56d4e1a3992e2e7a11e1f0762e499b18fa41e87676b9eb81179f979bd3de4ad",
+    "simulate": "93172673c28cf8a8ca1f75f1c49482c3e7382e4e4e5eada0c0fd33799bebe56f",
+    "simulate --verify-out 64": "d5c35d20117335fa7c4065b1279ca86e1b542c8a322dd90df813ef33c1553c8b",
 }
 
 
@@ -75,9 +89,10 @@ def output_hashes(directory: Path) -> dict:
     """The SHA-256 of each command's stdout, by name."""
     data = str(directory / "pools.jsonl")
     assert _stdout(["--seed", "42", "simulate", "-o", data, *DATASET]) == ""
-    return {name: hashlib.sha256(_stdout(["--seed", "42", *argv, "-i", data])
-                                 .encode()).hexdigest()
-            for name, argv in COMMANDS.items()}
+    runs = {**{name: [*argv, "-i", data] for name, argv in COMMANDS.items()},
+            **EMITTERS}
+    return {name: hashlib.sha256(_stdout(["--seed", "42", *argv]).encode()).hexdigest()
+            for name, argv in runs.items()}
 
 
 def test_outputs_unchanged(tmp_path):

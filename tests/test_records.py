@@ -5,6 +5,7 @@ import io
 import json
 import logging
 import math
+import pickle
 import re
 import tracemalloc
 
@@ -1002,3 +1003,86 @@ class TestConstructionRoutes:
         with pytest.raises(ValueError, match=re.escape(
                 "invalid token count: solution_tokens 3 > output_tokens 2")):
             TokenStats(output_tokens=2, solution_tokens=3, reasoning_budget=-1)
+
+
+def _pool_text(pids, disc=True, gen=True, labeled=True):
+    """Records of problems named by pids, one line each, in order (a pid
+    that comes back starts another run of its lines)."""
+    lines = []
+    for i, pid in enumerate(pids):
+        fields = dict(problem_id=pid, candidate_id=f"c{i}", answer=str(i % 3),
+                      prompt_tokens=i, output_tokens=2 * i, solution_tokens=i)
+        if labeled:
+            fields["correct"] = i % 3 == 0
+        if disc:
+            fields["disc_score"] = 0.25 * i - 1
+        if gen:
+            fields["gen_scores"] = [0.5, i / 7]
+        if i % 2:
+            fields.update(reasoning_budget=5, verification_out_tokens=3)
+        lines.append(json.dumps(fields))
+    return "\n".join(lines)
+
+
+def _routes():
+    """A Problem from each construction route, by name."""
+    ingested = {
+        f"ingest {name}": ingest_text(_pool_text(pids, **flags))
+        for name, pids, flags in (
+            ("scored", "AAABB", {}),
+            ("lines come back", "ABABA", {}),
+            ("no disc", "AAA", dict(disc=False)),
+            ("no gen", "AAA", dict(gen=False)),
+            ("no labels", "AAA", dict(labeled=False)),
+            ("no scores", "AAA", dict(disc=False, gen=False, labeled=False)),
+        )
+    }
+    synthetic = {
+        f"generate_pool M={m}": generate_pool(SynthSpec(
+            seed=5, n_problems=2, pool_size=6, p_correct=0.5, answer_space=2,
+            gen_verifications=m))
+        for m in (0, 3)
+    }
+    pools = {**ingested, **synthetic}
+    pools["built in code"] = [Problem(p.problem_id, p.candidates)
+                              for p in pools["ingest lines come back"]]
+    pools["unpickled"] = pickle.loads(pickle.dumps(pools["ingest scored"]))
+    return pools
+
+
+class TestPlainColumns:
+    """Problem._plain_columns reads a Problem's columns back as
+    _checked_columns takes them, so every Problem round-trips through the
+    one check-and-build step, whatever route built it."""
+
+    @pytest.mark.parametrize("route", list(_routes()))
+    def test_round_trip(self, route):
+        for problem in _routes()[route]:
+            columns = problem._plain_columns()
+            rebuilt = Problem._of_columns(
+                **records._checked_columns(problem.problem_id, *columns))
+            assert rebuilt == problem and hash(rebuilt) == hash(problem)
+            assert rebuilt.candidates == problem.candidates
+            assert rebuilt._plain_columns() == columns
+
+    @pytest.mark.parametrize("route", list(_routes()))
+    def test_plain_values(self, route):
+        """disc is floats and gen tuples of floats, or each a column of
+        None; the rest are the stored columns."""
+        for problem in _routes()[route]:
+            ids, raws, keys, labels, discs, gens, *tokens = problem._plain_columns()
+            assert (ids, raws, keys, labels) == (
+                problem.candidate_ids, problem.answers, problem.answer_keys,
+                problem.labels)
+            assert tuple(tokens) == problem.tokens
+            for values, array in ((discs, problem.disc), (gens, problem.gen)):
+                assert type(values) is tuple and len(values) == len(problem)
+                if array is None:
+                    assert values == (None,) * len(problem)
+            if problem.disc is not None:
+                assert {type(d) for d in discs} == {float}
+            if problem.gen is not None:
+                assert {type(g) for g in gens} == {tuple}
+                assert {type(s) for g in gens for s in g} == {float}
+            assert [c.gen_scores for c in problem.candidates] == list(gens)
+            assert [c.disc_score for c in problem.candidates] == list(discs)

@@ -403,9 +403,9 @@ class TestSelectGPV:
             Candidate(candidate_id=f"c{i}", answer_raw=a, answer_key=a,
                       correct=a == "A", gen_scores=(0.5, 0.5))
             for i, a in enumerate("AAB")))
-        cfg = EvalConfig(n=2, method="gpv", draws=5, m_verifications=m)
-        with pytest.raises(ValueError, match=message):
-            bootstrap_accuracy([problem], cfg)
+        with pytest.raises(ValueError, match=message):  # refused by EvalConfig
+            bootstrap_accuracy([problem], EvalConfig(
+                n=2, method="gpv", draws=5, m_verifications=m))
 
     def test_overflowing_mean_is_named(self):
         # x's and y's raw means overflow to +inf and -inf; their cluster's
@@ -696,10 +696,10 @@ class TestCodeBuiltPools:
                               transform=transform, rng=rng)
             except (VeriselError, ValueError):
                 pass
-            cfg = EvalConfig(n=n, method=method, draws=3, m_verifications=m,
-                             transform=transform)
             try:
-                bootstrap_accuracy([problem], cfg)
+                bootstrap_accuracy([problem], EvalConfig(
+                    n=n, method=method, draws=3, m_verifications=m,
+                    transform=transform))
             except (VeriselError, ValueError):
                 pass
 

@@ -644,8 +644,10 @@ def budget_curve(
     M verification generations for gpv), averaged over problems. The
     latency budget is looked up from measured wall-clock data at (N, M)
     exactly; absent measurements are errors. gpv expands over m_grid; other
-    methods report m=0. Every argument but the problems is checked first,
-    by _curve_runs, which gives each point's EvalConfig.
+    methods report m=0. methods, n_grid and, when gpv is among the
+    methods, m_grid must each be non-empty, with no value repeated. Every
+    argument but the problems is checked first, and each point priced on
+    no candidates, by _curve_runs, which gives each point's EvalConfig.
 
     Each problem's pipeline FLOPs are computed once per (mode, M) and
     reused across the N grid, from its token_stats, built once. With

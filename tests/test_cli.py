@@ -110,10 +110,10 @@ class TestEvaluate:
         (["evaluate", "--method", "pv", "-n", "2", "--alpha", "nan"],
          "invalid alpha: nan"),
         (["curve", "--methods", "sc", "--draws", "0"], "invalid draw count: 0"),
-        (["evaluate", "--method", "gpv", "-n", "2", "-M", "0"],
-         "invalid verification count: 0"),
         (["curve", "--solver-preset", "qwen2.5-32b", "--solver-config", "x.txt"],
          "give a preset or a config file, not both"),
+        (["evaluate", "--method", "gpv", "-n", "2", "-M", "0"],
+         "invalid verification count: 0"),
     ])
     def test_flags_fail_before_input_is_read(self, capsys, tmp_path, argv, message):
         data = simulate(capsys, tmp_path / "pools.jsonl")

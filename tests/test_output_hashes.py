@@ -7,8 +7,8 @@ recorded in HASHES. The hashes were recorded from the code before the
 rule inputs moved to selection._scored, and those of `simulate` and
 `cost -i` from the code before a Problem's columns were read back in one
 place, Problem._plain_columns (see CHANGES.md), so a change that means
-to keep every output keeps them. After a change that means to alter an output, print
-the new table with
+to keep every output keeps them. After a change that means to alter an
+output, print the new table with
 
     PYTHONPATH=src python tests/test_output_hashes.py
 

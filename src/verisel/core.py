@@ -421,7 +421,10 @@ class Problem:
     def __init__(self, problem_id: str, candidates: Iterable[Candidate]) -> None:
         candidates = tuple(candidates)
         *columns, stats = tuple(zip(*map(_CANDIDATE_FIELDS, candidates))) or ((),) * 7
-        tokens = zip(*map(_TOKEN_ROW, stats))
+        if stats and stats.count(stats[0]) == len(stats):  # one value, as is usual
+            tokens = ((value,) * len(stats) for value in _TOKEN_ROW(stats[0]))
+        else:
+            tokens = zip(*map(_TOKEN_ROW, stats))
         self.__dict__.update(_checked_columns(problem_id, *columns, *tokens),
                              candidates=candidates)
 

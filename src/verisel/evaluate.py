@@ -15,11 +15,11 @@ where Lemire's method rejects a word go through slate_rng itself. Rows of
 problems with equal pool size share each chunk of draws, so a row never
 depends on which problems ran with it.
 
-What a rule decides on a slate comes from selection.py: its kernel
-(_tally) runs here on a chunk of slates at once, one row each, as
-select_answer runs it on a whole pool, on the same inputs (_scored); BoN
-reads its order as ranks. Tests hold each slate's outcome to select_answer
-and to an independent oracle.
+What a rule decides on a slate comes from selection.py: its batch kernel
+(_tally) runs here on a chunk of slates at once, one row each, on the
+inputs select_answer reads of a whole pool (_scored); BoN reads its order
+as ranks. Tests hold each slate's outcome to select_answer and to an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -365,8 +365,8 @@ class _PoolStack:
             best = self.rank.ravel()[at].min(axis=1)
             return self.by_rank[pool, best].astype(float)
         values = None if self.weights is None else self.weights.ravel()[at]
-        *_, pick = _tally(self.codes.ravel()[at], values, self.correct.shape[1],
-                          self.none_code[pool], self.objective)
+        pick = _tally(self.codes.ravel()[at], values, self.correct.shape[1],
+                      self.none_code[pool], self.objective)
         return np.where(pick >= 0, self.correct[pool, pick], 0.0)
 
     def sampled(self) -> np.ndarray:

@@ -15,18 +15,21 @@ seeded generator is passed, in which case a tied winner is drawn uniformly.
 
 This module is the only statement of what a rule decides: objectives
 (_objective), what each rule reads of each candidate (_scored, kept on
-the Problem), BoN's order (_bon_ranking) and one kernel (_tally) that
-aggregates clusters and picks by objective, then tie order. select_answer
-runs it on a Problem's answer_columns and _scored inputs, the select_*
-functions are thin wrappers that lay their dicts out as such columns, and
-evaluate.py runs it on batches of slates, on the same _scored inputs.
+the Problem), BoN's order (_bon_ranking) and how clusters are counted,
+summed and picked among: _run on one pool, which also reports each
+cluster, and _tally on a batch of slates, one row each, in numpy. Both
+pick the cluster of highest objective, then support, then lowest key;
+tests pin them equal. select_answer runs _run on a Problem's
+answer_columns and _scored inputs, the select_* functions are thin
+wrappers that lay their dicts out as such columns, and evaluate.py runs
+_tally on the same _scored inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, takewhile
 from operator import attrgetter
 from typing import Mapping, Optional, Sequence
 
@@ -78,9 +81,11 @@ def candidate_scores(
 ) -> dict[str, float]:
     """Map candidate_id to transformed disc_score; error if any is missing."""
     fn = _transform_fn(transform)
-    if any(c.disc_score is None for c in candidates):
+    scores = list(map(_DISC, candidates))
+    if None in scores:
         raise ValueError("scores required")
-    return {c.candidate_id: fn(c.disc_score) for c in candidates}
+    return dict(zip(map(_CANDIDATE_ID, candidates),
+                    scores if transform == "raw" else map(fn, scores)))
 
 
 def candidate_gen_scores(
@@ -89,9 +94,11 @@ def candidate_gen_scores(
 ) -> dict[str, tuple[float, ...]]:
     """Map candidate_id to transformed gen_scores; error if any is missing."""
     fn = _transform_fn(transform)
-    if any(c.gen_scores is None for c in candidates):
+    rows = list(map(_GEN, candidates))
+    if None in rows:
         raise ValueError("scores required")
-    return {c.candidate_id: tuple(map(fn, c.gen_scores)) for c in candidates}
+    return dict(zip(map(_CANDIDATE_ID, candidates), rows if transform == "raw"
+                    else (tuple(map(fn, row)) for row in rows)))
 
 
 def _transform_fn(transform: str):
@@ -229,19 +236,19 @@ def _bon_ranking(ids: Sequence[str], scores: Sequence[float],
     """BoN's candidate order, as positions: highest score first, then lowest
     candidate_id. Candidates without an extracted answer (answer code
     none_code) are left out; they never win."""
-    return sorted((i for i, code in enumerate(codes) if code != none_code),
-                  key=lambda i: (-scores[i], ids[i]))
+    ranked = [i for i, code in enumerate(codes) if code != none_code]
+    ranked.sort(key=ids.__getitem__)  # stable: equal scores keep this order
+    ranked.sort(key=scores.__getitem__, reverse=True)
+    return ranked
 
 
 def _tally(codes: np.ndarray, values: Optional[np.ndarray], width: int,
-           none_codes: np.ndarray, objective) -> tuple:
+           none_codes: np.ndarray, objective) -> np.ndarray:
     """A cluster rule on each row r of a batch: answer codes codes[r] (each
     below width), per-candidate values[r] (None: totals are counts) and the
-    no-answer code none_codes[r], or -1. Returns (counts, totals, penalty,
-    objective, pick): the first four by row and code, totals added in row
-    order, penalty (None for sc, wsc) and objective NaN and -inf off the
-    live codes, those present and selectable; pick, each row's winner, or
-    -1: objective descending, then support descending, then code ascending.
+    no-answer code none_codes[r], or -1. Returns each row's winner, or -1:
+    among the live codes, those present and selectable, objective
+    descending, then support descending, then code ascending.
     """
     rows = len(codes)
     cells = np.add(codes, (np.arange(rows) * width)[:, None], dtype=np.int64).ravel()
@@ -254,13 +261,11 @@ def _tally(codes: np.ndarray, values: Optional[np.ndarray], width: int,
     # live ones alpha * psi_a is finite, so a total near the largest double
     # can only round its objective to -inf, never to NaN.
     with np.errstate(over="ignore"):
-        psi, value = objective(totals, np.maximum(counts, 1))
+        _, value = objective(totals, np.maximum(counts, 1))
     value = np.where(live, value, -np.inf)
-    penalty = None if psi is None else np.where(live, psi, np.nan)
     tied = live & (value == value.max(axis=1, keepdims=True))
-    tied &= counts == np.where(tied, counts, -1).max(axis=1, keepdims=True)
-    pick = np.where(tied.any(axis=1), tied.argmax(axis=1), -1)
-    return counts, totals, penalty, value, pick
+    # the tied code of most support, the first (lowest) of equals
+    return np.where(tied.any(axis=1), np.where(tied, counts, -1).argmax(axis=1), -1)
 
 
 def _run(method: str, ids: Optional[Sequence[str]], columns: AnswerColumns,
@@ -270,51 +275,53 @@ def _run(method: str, ids: Optional[Sequence[str]], columns: AnswerColumns,
     """method on one pool laid out as columns: candidate ids (bon reads
     them), answer columns and what the rule reads of each candidate, in
     pool order (sc: raw disc scores or None; gpv: means over its m passes;
-    else one valid score). A cluster rule is _tally on one row, and rng
-    draws among clusters tied on objective, in cluster order (support
-    descending, key ascending), the diagnostics' order. BoN's cluster
-    objective is the first highest score."""
-    winner = None
+    else one valid score). Clusters are counted and summed as _tally does,
+    and each selectable one scored by _objective. The winner is the first
+    cluster of the highest objective in cluster order (support descending,
+    key ascending), the diagnostics' order: _tally's pick on one row. rng
+    draws among the clusters tied on objective, in that order. BoN's
+    cluster objective is the first highest score."""
+    codes, width, none = columns.codes, len(columns.keys), columns.none_code
+    counts = np.bincount(codes, minlength=width).tolist()
+    totals = None if values is None else np.bincount(codes, values, width).tolist()
     if method == "bon":
-        scores, codes = values.tolist(), columns.codes.tolist()
-        ranked = _bon_ranking(ids, scores, codes, columns.none_code)
+        scores, codes = values.tolist(), codes.tolist()
+        ranked = _bon_ranking(ids, scores, codes, none)
         if not ranked:
             raise EmptyPoolError("no selectable answers in pool")
-        tied = [i for i in ranked if scores[i] == scores[ranked[0]]]
+        top = scores[ranked[0]]
+        tied = list(takewhile(lambda i: scores[i] == top, ranked))
         winner = tied[0] if rng is None else tied[int(rng.integers(len(tied)))]
-        value, penalty = {}, None
+        best: dict[int, float] = {}
+        floor = -math.inf
         for code, score in zip(codes, scores):
-            value[code] = max(value.get(code, score), score)
-        counts, totals = (np.bincount(columns.codes, w, len(columns.keys)).tolist()
-                          for w in (None, values))
+            if score > best.get(code, floor):  # the first of equals stays
+                best[code] = score
+        rated = {c: (None, best[c]) for c in range(width) if c != none}
     else:
-        tally = _tally(columns.codes[None], None if values is None else values[None],
-                       len(columns.keys), np.array([columns.none_code]),
-                       _objective(method, len(columns.codes), alpha, m or 1))
-        counts, totals, penalty, value, pick = (
-            None if a is None else a[0].tolist() for a in tally)
-        if pick < 0:
+        objective = _objective(method, len(codes), alpha, m or 1)
+        # every code of one pool is present, so each but none's is live
+        rated = {c: objective(counts[c] if totals is None else totals[c], counts[c])
+                 for c in range(width) if c != none}
+        if not rated:
             raise EmptyPoolError("no selectable answers in pool")
-    none = columns.none_code
-    diagnostics = tuple(  # of the kernel's plain ints and floats: no checks
-        _unchecked(
-            ClusterDiagnostic,
-            answer_key=columns.keys[c],
-            n_a=counts[c],
-            sum_score=None if values is None else totals[c],
-            penalty=None if penalty is None or c == none else penalty[c],
-            objective=None if c == none else value[c],
-        )
-        for c in sorted(range(len(counts)), key=lambda c: -counts[c])
-    )
-    if winner is not None:
+    # support descending, then code (key) ascending: a stable sort keeps it
+    order = sorted(range(width), key=counts.__getitem__, reverse=True)
+    diagnostics = []
+    for c in order:  # of plain ints and floats: no checks
+        penalty, value = rated.get(c, (None, None))
+        diagnostics.append(_unchecked(
+            ClusterDiagnostic, answer_key=columns.keys[c], n_a=counts[c],
+            sum_score=None if totals is None else totals[c],
+            penalty=penalty, objective=value))
+    diagnostics = tuple(diagnostics)
+    if method == "bon":
         return SelectionResult(method, columns.keys[columns.codes[winner]],
                                ids[winner], diagnostics)
-    chosen = columns.keys[pick]
-    if rng is not None:
-        tied = [d.answer_key for d in diagnostics if d.objective == value[pick]]
-        if len(tied) > 1:
-            chosen = tied[int(rng.integers(len(tied)))]
+    top = max(value for _, value in rated.values())
+    tied = [d.answer_key for d in diagnostics if d.objective == top]
+    chosen = tied[0] if rng is None or len(tied) == 1 else (
+        tied[int(rng.integers(len(tied)))])
     return SelectionResult(method, chosen, None, diagnostics, alpha, m)
 
 
@@ -324,11 +331,18 @@ def _checked(candidates: Sequence[Candidate], scores: Optional[Mapping],
     in order, checked by core._floats, one score or, with rows, a row of
     them; a ValueError names the first bad one."""
     if scores is None:
-        scores = candidate_scores(candidates, "raw")
-    try:
-        entries = [scores[c.candidate_id] for c in candidates]
-    except KeyError:
-        raise ValueError("scores required") from None
+        entries = list(map(_DISC, candidates))
+        if None in entries:
+            raise ValueError("scores required")
+    else:
+        try:
+            entries = list(map(scores.__getitem__, map(_CANDIDATE_ID, candidates)))
+        except KeyError:
+            raise ValueError("scores required") from None
+    if rows and {tuple}.issuperset(map(type, entries)):
+        flat = tuple(chain.from_iterable(entries))
+        if _floats(flat) is flat:  # finite floats already: one check of all
+            return entries
     checked = list(map(_floats, entries)) if rows else _floats(entries)
     if checked is None or None in checked:
         cand, entry = next((c, e) for c, e in zip(candidates, entries)
@@ -338,8 +352,8 @@ def _checked(candidates: Sequence[Candidate], scores: Optional[Mapping],
     return list(checked)
 
 
-_CANDIDATE_ID, _CLUSTER_KEY, _DISC = map(
-    attrgetter, ("candidate_id", "cluster_key", "disc_score"))
+_CANDIDATE_ID, _CLUSTER_KEY, _DISC, _GEN = map(
+    attrgetter, ("candidate_id", "cluster_key", "disc_score", "gen_scores"))
 
 
 def _laid_out(candidates: Sequence[Candidate]) -> AnswerColumns:
@@ -424,9 +438,11 @@ def select_gpv(
     members = _members(clusters)
     columns = _laid_out(members)
     rows = _checked(members, gen_scores, rows=True)
-    m = _resolve_m(set(map(len, rows)), m_verifications)
-    gen = np.fromiter(chain.from_iterable(row[:m] for row in rows), float,
-                      len(rows) * m).reshape(len(rows), m)
+    lengths = set(map(len, rows))
+    m = _resolve_m(lengths, m_verifications)
+    if lengths != {m}:
+        rows = [row[:m] for row in rows]
+    gen = np.fromiter(chain.from_iterable(rows), float, len(rows) * m).reshape(-1, m)
     ids = list(map(_CANDIDATE_ID, members))
     return _run("gpv", ids, columns, _gen_means(gen, m, ids), alpha, m, rng)
 

@@ -232,7 +232,7 @@ class TestSlateRng:
 class TestSlateEquivalence:
     """The vectorized per-draw scorer must agree with the selection rules
     exactly, slate by slate, not just in aggregate: with select_answer,
-    which runs the same kernel on the slate as a pool, and with the
+    which runs the one-pool rule on the slate as a pool, and with the
     independent oracles."""
 
     def test_sampled_slates_match_selection(self):

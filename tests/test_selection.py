@@ -30,6 +30,9 @@ from verisel import (
 from verisel.selection import (
     METHODS,
     ClusterDiagnostic,
+    _objective,
+    _scored,
+    _tally,
     _transformed,
     candidate_gen_scores,
     candidate_scores,
@@ -634,7 +637,41 @@ class TestOracleAgreement:
             )
 
 
-# Finite scores, some big enough for a raw cluster sum to overflow.
+class TestOnePoolPickIsBatchPick:
+    """select_answer picks on one pool (_run) what the batch kernel
+    (_tally) picks on that pool as one row, on the same inputs: the same
+    cluster, or, where no answer is selectable, none."""
+
+    @staticmethod
+    def batch_pick(problem, method, alpha, m):
+        values, m = _scored(problem, method, "raw", m)
+        columns = problem.answer_columns
+        (pick,) = _tally(columns.codes[None], None if values is None else values[None],
+                         len(columns.keys), np.array([columns.none_code]),
+                         _objective(method, len(problem), alpha, m or 1))
+        return None if pick < 0 else columns.keys[pick]
+
+    def test_random_pools(self):
+        rng = np.random.default_rng(2026)
+        unanswered = Problem("none", tuple(
+            Candidate(candidate_id=f"c{i}", disc_score=0.5, gen_scores=(0.5,))
+            for i in range(3)))
+        # small pools tie on objective across supports often
+        pools = [random_problem(rng, max_size=(6, 32)[i % 2]) for i in range(600)]
+        for i, problem in enumerate([unanswered, *pools]):
+            m = len(problem.candidates[0].gen_scores)
+            for method in ("sc", "wsc", "pv", "gpv"):
+                alpha = float(rng.choice([0.0, 0.1, 0.5, 2.0, 1e6]))
+                m_used = int(rng.integers(1, m + 1)) if method == "gpv" else None
+                want = self.batch_pick(problem, method, alpha, m_used)
+                try:
+                    got = select_answer(problem, method, alpha=alpha,
+                                        m_verifications=m_used,
+                                        transform="raw").chosen_answer
+                except EmptyPoolError:
+                    got = None
+                assert got == want, (i, method, alpha, m_used)
+                assert got is not None or i == 0
 FINITE = st.one_of(st.floats(-4, 4), st.sampled_from((1e308, -1e308, 2)))
 # What code might pass for one field, of one candidate or of the pool.
 ODD = {

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import TokenStats, VeriselError
+from .core import TokenStats, VeriselError, _check_token_count
 from .costs import (
     BUNDLED_LATENCY,
     MODEL_PRESETS,
@@ -390,7 +390,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         stream=sys.stderr, format="%(levelname)s: %(message)s",
         level=logging.WARNING,
     )
-    try:
+    try:  # curve's and cost's --verify-out first, even if every record has its own
+        if getattr(args, "verify_out", None) is not None:
+            _check_token_count("t_out", args.verify_out)
         return args.func(args)
     except (VeriselError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

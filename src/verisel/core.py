@@ -194,7 +194,7 @@ def _unchecked(cls, **values):
     return obj
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class TokenStats:
     """Token counts for one candidate solution.
 
@@ -202,7 +202,7 @@ class TokenStats:
     solution_tokens is the length after the reasoning span is removed and is
     what a verifier reads. verification_out_tokens, when present, is the
     number of tokens a generative verifier emits per verification pass.
-    Checked as a one-row column by _token_fault.
+    __post_init__ checks it as a one-row column by _token_fault.
     """
 
     prompt_tokens: int = 0
@@ -211,18 +211,10 @@ class TokenStats:
     reasoning_budget: Optional[int] = None
     verification_out_tokens: Optional[int] = None
 
-    def __init__(self, prompt_tokens: int = 0, output_tokens: int = 0,
-                 solution_tokens: int = 0, reasoning_budget: Optional[int] = None,
-                 verification_out_tokens: Optional[int] = None) -> None:
-        fault = _token_fault((prompt_tokens,), (output_tokens,), (solution_tokens,),
-                             (reasoning_budget,), (verification_out_tokens,))
+    def __post_init__(self) -> None:
+        fault = _token_fault(*((getattr(self, name),) for name in _TOKEN_FIELDS))
         if fault:
             raise ValueError(fault)
-        self.__dict__.update(
-            prompt_tokens=prompt_tokens, output_tokens=output_tokens,
-            solution_tokens=solution_tokens, reasoning_budget=reasoning_budget,
-            verification_out_tokens=verification_out_tokens,
-        )
 
 
 _TOKEN_FIELDS = tuple(f.name for f in fields(TokenStats))

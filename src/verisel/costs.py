@@ -54,8 +54,8 @@ class ModelConfig:
     def from_file(cls, path: Union[str, Path]) -> "ModelConfig":
         """Parse a small key-value file: one `name = value` per line, each
         of d, m, L and V once, as an integer; `#` starts a comment. A line
-        that breaks this is refused with a ValueError naming path:line."""
-        fields = {}
+        that breaks this, or that __post_init__ refuses, names path:line."""
+        fields, lines = {}, {}
         for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -68,14 +68,18 @@ class ModelConfig:
                 what = "repeated" if key in fields else "unknown"
                 raise ValueError(f"{path}:{lineno}: {what} field {key!r}")
             try:
-                fields[key] = int(value)
+                fields[key], lines[key] = int(value), lineno
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: {key} must be an integer, "
                                  f"got {value.strip()!r}") from None
         missing = {"d", "m", "L", "V"} - fields.keys()
         if missing:
             raise ValueError(f"{path}: missing fields {sorted(missing)}")
-        return cls(**fields)
+        try:
+            return cls(**fields)
+        except ValueError as exc:  # "invalid model dimension: name=value"
+            name = str(exc).rpartition(": ")[2].partition("=")[0]
+            raise ValueError(f"{path}:{lines[name]}: {exc}") from None
 
 
 # Published geometries of the model family used for the bundled latency

@@ -50,6 +50,7 @@ from .selection import (
     _alpha_or_default,
     _bon_ranking,
     _objective,
+    _resolve_m,
     _scored,
     _tally,
     _transform_fn,
@@ -62,7 +63,8 @@ _MAX_EXHAUSTIVE_SLATES = 10**6  # per problem, for bootstrap_accuracy
 @dataclass(frozen=True)
 class EvalConfig:
     """One evaluation run: slate size, method, draw count, and RNG seed.
-    gpv's m_verifications is an int >= 1, or None for the data's one M."""
+    gpv's M (None: the data's one M) is checked by _resolve_m, and pv's and
+    gpv's alpha by their _objective at N = n and M (else 1), as built."""
 
     n: int
     method: str = "sc"
@@ -93,15 +95,14 @@ class EvalConfig:
             raise ValueError(f"ci_level out of (0,1): {self.ci_level}")
         if self.method not in METHODS:
             raise ValueError(f"unknown selection method: {self.method!r}")
-        if self.method == "gpv" and self.m_verifications is not None:
-            _check_int("m_verifications", self.m_verifications)
-            if self.m_verifications < 1:
-                raise ValueError(f"invalid verification count: {self.m_verifications}")
+        m = self.m_verifications if self.method == "gpv" else None
+        m = 1 if m is None else _resolve_m((), m)  # 1: the alpha check's M
         if self.ci_method not in ("normal", "percentile"):
             raise ValueError(f"unknown ci method: {self.ci_method!r}")
         _transform_fn(self.transform)  # raises as select_answer does
-        # NaN or +inf; a negative alpha fails where it is used, in _objective
-        if self.alpha is not None and not self.alpha < math.inf:
+        if self.method in ("pv", "gpv"):
+            _objective(self.method, self.n, self.effective_alpha, m)
+        elif self.alpha is not None and not self.alpha < math.inf:  # NaN or +inf
             raise ValueError(f"invalid alpha: {self.alpha}")
 
     @property
@@ -410,7 +411,7 @@ class _PoolStack:
 
 
 def _with_m(problems: Sequence[Problem], cfg: EvalConfig) -> EvalConfig:
-    """cfg with gpv's M filled in: the gen_scores length of every problem.
+    """cfg with gpv's M filled in, by _resolve_m: every problem's row length.
 
     Raises ValueError when the problems' lengths differ; then M must be
     given. Problems without gen_scores fail later, when they are scored.
@@ -418,10 +419,9 @@ def _with_m(problems: Sequence[Problem], cfg: EvalConfig) -> EvalConfig:
     if cfg.method != "gpv" or cfg.m_verifications is not None:
         return cfg
     lengths = {p.gen.shape[1] for p in problems if p.gen is not None}
-    if len(lengths) > 1:
-        raise ValueError(f"inconsistent M across problems (gen_scores lengths "
-                         f"{sorted(lengths)}): give M")
-    return dataclasses.replace(cfg, m_verifications=lengths.pop()) if lengths else cfg
+    where = f" across problems (gen_scores lengths {sorted(lengths)}): give M"
+    return dataclasses.replace(
+        cfg, m_verifications=_resolve_m(lengths, None, where)) if lengths else cfg
 
 
 def _eval_problems(

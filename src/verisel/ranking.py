@@ -72,14 +72,18 @@ def filter_learnable_groups(
     return out
 
 
-def _split(group: ScoredGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _split(group: ScoredGroup, lam: float = 0.0) -> tuple[np.ndarray, ...]:
+    """Logits, labels (a bool mask), positive and negative logits. The one
+    check of the regularizer weight lam: a finite number >= 0."""
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"invalid lambda: {lam}")
     scores = np.asarray(group.scores, dtype=float)
     labels = np.asarray(group.labels, dtype=bool)
     pos = scores[labels]
     neg = scores[~labels]
     if pos.size == 0 or neg.size == 0:
         raise ValueError("no learnable signal")
-    return scores, pos, neg
+    return scores, labels, pos, neg
 
 
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -94,9 +98,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def bt_loss(group: ScoredGroup, lam: float = 0.0) -> float:
     """Mean pairwise ranking loss plus (lam/2) * mean squared logit."""
-    if lam < 0:
-        raise ValueError(f"invalid lambda: {lam}")
-    scores, pos, neg = _split(group)
+    scores, _, pos, neg = _split(group, lam)
     pairwise = -_log_sigmoid(pos[:, None] - neg[None, :]).mean()
     return float(pairwise + 0.5 * lam * np.mean(scores**2))
 
@@ -107,10 +109,7 @@ def bt_loss_gradient(group: ScoredGroup, lam: float = 0.0) -> np.ndarray:
     d/dr_i = -(1/(|P||N|)) sum_j sigmoid(r_j - r_i) + (lam/m) r_i  (i in P)
     and the pairwise term flips sign for j in N.
     """
-    if lam < 0:
-        raise ValueError(f"invalid lambda: {lam}")
-    scores, pos, neg = _split(group)
-    labels = np.asarray(group.labels, dtype=bool)
+    scores, labels, pos, neg = _split(group, lam)
     scale = 1.0 / (pos.size * neg.size)
     # sigma(r_j - r_i) over all (i in P, j in N) pairs
     s = _sigmoid(neg[None, :] - pos[:, None])
@@ -123,7 +122,7 @@ def bt_loss_gradient(group: ScoredGroup, lam: float = 0.0) -> np.ndarray:
 
 def score_margin(group: ScoredGroup) -> float:
     """Mean correct score minus mean incorrect score."""
-    _, pos, neg = _split(group)
+    _, _, pos, neg = _split(group)
     return float(pos.mean() - neg.mean())
 
 

@@ -181,16 +181,18 @@ def _objective(method: str, n_total: int = 1, alpha: float = 0.0, m: int = 1):
     return pessimistic
 
 
-def _resolve_m(lengths: set[int], m_verifications: Optional[int]) -> int:
-    """gpv's M: m_verifications, else the one length all score rows share;
-    lengths holds the rows' lengths."""
+def _resolve_m(lengths, m_verifications: Optional[int], where: str = "") -> int:
+    """gpv's M, the one statement of its rule: m_verifications, else the one
+    length all score rows share (lengths: the rows' lengths; where: whose,
+    for the message when they differ), an int >= 1 no row is shorter than."""
     if m_verifications is None:
         if len(lengths) != 1:
-            raise ValueError("inconsistent M")
+            raise ValueError(f"inconsistent M{where}")
         (m_verifications,) = lengths
-    else:
-        _check_int("m_verifications", m_verifications)
-    if m_verifications < 1 or any(n < m_verifications for n in lengths):
+    _check_int("m_verifications", m_verifications)
+    if m_verifications < 1:
+        raise ValueError(f"invalid verification count: {m_verifications}")
+    if any(n < m_verifications for n in lengths):
         raise ValueError("inconsistent M")
     return m_verifications
 
@@ -327,11 +329,11 @@ def _run(method: str, ids: Optional[Sequence[str]], columns: AnswerColumns,
 
 def _checked(candidates: Sequence[Candidate], scores: Optional[Mapping],
              rows: bool = False) -> list:
-    """Each candidate's entry in scores (None: raw disc_scores) as float(s),
-    in order, checked by core._floats, one score or, with rows, a row of
-    them; a ValueError names the first bad one."""
+    """Each candidate's entry in scores (None: its raw disc_score, or with
+    rows gen_scores, as _scored reads them) as float(s), in order, checked
+    by core._floats; a ValueError names the first bad one."""
     if scores is None:
-        entries = list(map(_DISC, candidates))
+        entries = list(map(_GEN if rows else _DISC, candidates))
         if None in entries:
             raise ValueError("scores required")
     else:
@@ -423,7 +425,7 @@ def select_pv(
 
 def select_gpv(
     clusters: Sequence[AnswerCluster],
-    gen_scores: Mapping[str, Sequence[float]],
+    gen_scores: Optional[Mapping[str, Sequence[float]]],
     alpha: float = DEFAULT_GPV_ALPHA,
     m_verifications: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
@@ -433,7 +435,7 @@ def select_gpv(
     Each candidate is scored by the mean of its M pass scores; the penalty
     sharpens to ln(N*M) / (n_a*M + 1). When candidates carry more than
     m_verifications scores only the first m_verifications are used, so one
-    dataset can serve a sweep over M.
+    dataset can serve a sweep over M. None reads their raw gen_scores.
     """
     members = _members(clusters)
     columns = _laid_out(members)

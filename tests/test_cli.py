@@ -114,6 +114,16 @@ class TestEvaluate:
          "give a preset or a config file, not both"),
         (["evaluate", "--method", "gpv", "-n", "2", "-M", "0"],
          "invalid verification count: 0"),
+        # a negative or overflowing pv or gpv alpha once failed after reading
+        (["evaluate", "--method", "pv", "-n", "2", "--alpha", "-1"],
+         "invalid alpha: -1.0"),
+        (["evaluate", "--method", "gpv", "-n", "2", "--alpha", "-1"],
+         "invalid alpha: -1.0"),
+        (["evaluate", "--method", "pv", "-n", "8", "--alpha", "1e308"],
+         "invalid alpha: 1e+308"),
+        (["curve", "--methods", "sc,pv", "--solver-preset", "qwen2.5-32b",
+          "--verifier-preset", "qwen2.5-1.5b", "--alpha", "-1"],
+         "invalid alpha: -1.0"),
     ])
     def test_flags_fail_before_input_is_read(self, capsys, tmp_path, argv, message):
         data = simulate(capsys, tmp_path / "pools.jsonl")
@@ -257,6 +267,18 @@ class TestCurve:
         assert (code, out) == (2, "")
         assert "ingested" not in err and err.endswith(f"error: {error}\n")
 
+    def test_negative_verify_out_refused(self, capsys, tmp_path):
+        """Refused before reading, even where every record carries its own
+        verification_out_tokens: it was once accepted there."""
+        data = simulate(capsys, tmp_path / "pools.jsonl", gen_verifications=2,
+                        verify_out=64)
+        code, out, err = run(capsys, [
+            "curve", "-i", data, "--methods", "gpv", "--m-grid", "2",
+            "--solver-preset", "qwen2.5-32b", "--verifier-preset", "qwen2.5-1.5b",
+            "--verify-out", "-1",
+        ])
+        assert (code, out, err) == (2, "", "error: invalid token count: t_out=-1\n")
+
     def test_m_grid_unread_without_gpv(self, capsys, tmp_path):
         """Without gpv no M is read, so the M grid may be empty or repeat."""
         data = simulate(capsys, tmp_path / "pools.jsonl")
@@ -398,11 +420,14 @@ class TestCost:
         (["--mode", "disc"], "verifier config required"),
         (["--mode", "gen", "-M", "-1", "--verifier-preset", "qwen2.5-1.5b"],
          "invalid verification count: -1"),
-    ], ids=["no-verifier", "m-negative"])
+        # once accepted, as every record carries verification_out_tokens
+        (["--mode", "gen", "-M", "2", "--verifier-preset", "qwen2.5-1.5b",
+          "--verify-out", "-1"], "invalid token count: t_out=-1"),
+    ], ids=["no-verifier", "m-negative", "verify-out-negative"])
     def test_bad_flag_refused_before_the_input_is_read(self, capsys, tmp_path,
                                                        flags, error):
         # these once printed the `ingested` line first
-        data = simulate(capsys, tmp_path / "pools.jsonl")
+        data = simulate(capsys, tmp_path / "pools.jsonl", verify_out=64)
         code, out, err = run(capsys, ["cost", "-i", data, "--solver-preset",
                                       "qwen2.5-32b", *flags])
         assert (code, out, err) == (2, "", f"error: {error}\n")
@@ -411,7 +436,9 @@ class TestCost:
         ("d = 8\nfoo = 3\n", "cfg:2: unknown field 'foo'"),
         ("d = 1.5\n", "cfg:1: d must be an integer, got '1.5'"),
         ("d = 8\nm = 2\n\nd = 9\n", "cfg:4: repeated field 'd'"),
-    ], ids=["unknown", "not-an-int", "repeated"])
+        # once refused as "invalid model dimension: d=0" alone
+        ("m = 2\nd = 0\nL = 1\nV = 1\n", "cfg:2: invalid model dimension: d=0"),
+    ], ids=["unknown", "not-an-int", "repeated", "zero"])
     def test_bad_config_file_named(self, capsys, tmp_path, text, error):
         # an unknown field once ended in a raw TypeError, 1.5 in int()'s
         # message, and a repeated field took its last value
@@ -420,6 +447,12 @@ class TestCost:
         code, out, err = run(capsys, ["cost", "--solver-config", str(cfg),
                                       "--prompt-tokens", "1"])
         assert (code, out, err) == (2, "", f"error: {tmp_path}/{error}\n")
+
+    def test_negative_verify_out_refused_without_input(self, capsys):
+        # sc mode reads no verification length, yet once took -1 silently
+        code, out, err = run(capsys, ["cost", "--solver-preset", "qwen2.5-32b",
+                                      "--prompt-tokens", "1", "--verify-out", "-1"])
+        assert (code, out, err) == (2, "", "error: invalid token count: t_out=-1\n")
 
     def test_solver_required(self, capsys):
         code, _, err = run(capsys, ["cost", "--prompt-tokens", "1"])
@@ -455,6 +488,15 @@ class TestBtloss:
         assert code == 0
         doc = json.loads(out)
         assert doc["pass"] is True and doc["max_rel_err"] < 1e-5
+
+    @pytest.mark.parametrize("l2", ["nan", "inf", "-1"])
+    def test_bad_lambda_fails(self, capsys, tmp_path, l2):
+        # nan and inf once exited 0 and printed "lambda": NaN or Infinity,
+        # which is not JSON
+        data = simulate(capsys, tmp_path / "pools.jsonl", p_correct=0.5)
+        code, out, err = run(capsys, ["btloss", "-i", data, "--l2", l2])
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: invalid lambda: {float(l2)}\n")
 
     def test_unlabeled_input_fails(self, capsys, monkeypatch):
         text = jsonl(
@@ -540,6 +582,15 @@ class TestSelect:
             stdin=self.POOL, monkeypatch=monkeypatch,
         )
         assert code == 2 and out == "" and "error: invalid alpha" in err
+
+    def test_gpv_m_zero_fails(self, capsys, monkeypatch):
+        # once "error: inconsistent M", where evaluate says this
+        pool = jsonl(*({"problem_id": "p", "candidate_id": f"c{i}", "answer": a,
+                        "gen_scores": [0.5, 0.25]} for i, a in enumerate("aab")))
+        code, out, err = run(capsys, ["select", "--method", "gpv", "-M", "0"],
+                             stdin=pool, monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert err.endswith("error: invalid verification count: 0\n")
 
     def test_transform_changes_objective(self, capsys, monkeypatch):
         code, out, _ = run(capsys, ["select", "--method", "pv"],

@@ -130,6 +130,27 @@ class TestTokenStats:
         with pytest.raises(ValueError):
             TokenStats(reasoning_budget=-5)
 
+    def test_dataclass_behaviour(self):
+        st = TokenStats(3, 10, 4, None, 2)
+        assert st == TokenStats(prompt_tokens=3, output_tokens=10,
+                                solution_tokens=4, verification_out_tokens=2)
+        assert hash(st) == hash(TokenStats(3, 10, 4, verification_out_tokens=2))
+        assert st != TokenStats(3, 10, 4) and TokenStats() == TokenStats(0, 0, 0)
+        assert repr(st) == (
+            "TokenStats(prompt_tokens=3, output_tokens=10, solution_tokens=4, "
+            "reasoning_budget=None, verification_out_tokens=2)")
+        assert pickle.loads(pickle.dumps(st)) == st
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            st.prompt_tokens = 1
+        with pytest.raises(TypeError):
+            TokenStats(1, 2, 3, 4, 5, 6)
+        with pytest.raises(ValueError, match=re.escape(
+                "invalid token count: solution_tokens 4 > output_tokens 1")):
+            dataclasses.replace(st, output_tokens=1)
+        with pytest.raises(ValueError, match=re.escape(
+                "invalid token count: verification_out_tokens=-1")):
+            TokenStats(1, 2, 1, 5, -1)
+
     @pytest.mark.parametrize("value", [
         True, False, 1.0, np.int64(1), enum.IntEnum("Size", "ONE")(1), None, "1",
     ], ids=["true", "false", "float", "numpy-int", "int-enum", "none", "text"])

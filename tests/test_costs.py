@@ -72,7 +72,9 @@ class TestModelConfig:
         ("d = 16\nm = 1.5\n", ":2: m must be an integer, got '1.5'"),
         ("d = 16\nm = \n", ":2: m must be an integer, got ''"),
         ("d = 8\nm = 64\nd = 9\n", ":3: repeated field 'd'"),
-    ], ids=["unknown", "float", "empty", "repeated"])
+        ("d = 16\n\nm = 0\n", ":3: invalid model dimension: m=0"),
+        ("d = -1\nm = 0\n", ":1: invalid model dimension: d=-1"),
+    ], ids=["unknown", "float", "empty", "repeated", "zero", "first-refused"])
     def test_from_file_names_the_line(self, tmp_path, text, error):
         path = tmp_path / "model.cfg"
         path.write_text(text + "L = 2\nV = 100\n")

@@ -210,6 +210,25 @@ class TestEvalConfig:
         assert EvalConfig(n=1, method="gpv").m_verifications is None  # the data's M
         assert EvalConfig(n=1, method="sc", m_verifications=m).m_verifications == m
 
+    @pytest.mark.parametrize("method", ["pv", "gpv"])
+    def test_negative_alpha_refused_when_built(self, method):
+        # a negative alpha once passed here and failed only once a slate
+        # was scored, after the input was read
+        with pytest.raises(ValueError, match=r"^invalid alpha: -1\.0$"):
+            EvalConfig(n=2, method=method, alpha=-1.0)
+        for other in ("sc", "bon", "wsc"):  # they ignore alpha
+            assert EvalConfig(n=2, method=other, alpha=-1.0).alpha == -1.0
+
+    def test_alpha_checked_at_n_and_m(self):
+        # alpha * ln(N*M) overflows past N = 6 at M = 1, and at N = 2 past M = 3
+        assert EvalConfig(n=6, method="pv", alpha=1e308).n == 6
+        assert EvalConfig(n=2, method="gpv", alpha=1e308).m_verifications is None
+        for n, method, m in ((7, "pv", None), (7, "gpv", None), (2, "gpv", 4)):
+            with pytest.raises(ValueError, match=r"^invalid alpha: 1e\+308$"):
+                EvalConfig(n=n, method=method, alpha=1e308, m_verifications=m)
+        # pv has no M: one given is not read
+        assert EvalConfig(n=2, method="pv", alpha=1e308, m_verifications=4).n == 2
+
     def test_alpha_defaults(self):
         assert EvalConfig(n=1, method="pv").effective_alpha == 0.5
         assert EvalConfig(n=1, method="gpv").effective_alpha == 0.1

@@ -6,8 +6,10 @@ EMITTERS with no input, and the SHA-256 of its stdout must equal the one
 recorded in HASHES. The hashes were recorded from the code before the
 rule inputs moved to selection._scored, and those of `simulate` and
 `cost -i` from the code before a Problem's columns were read back in one
-place, Problem._plain_columns (see CHANGES.md), so a change that means
-to keep every output keeps them. After a change that means to alter an
+place, Problem._plain_columns, and those of `btloss` and `cost` from
+flags from the code before the ranking loss's lambda and TokenStats'
+fields were each checked in one place (see CHANGES.md), so a change that
+means to keep every output keeps them. After a change that means to alter an
 output, print the new table with
 
     PYTHONPATH=src python tests/test_output_hashes.py
@@ -44,12 +46,19 @@ COMMANDS = {
                       "--budget", "latency", "--format", "json"],
     "cost -i disc": ["cost", "--mode", "disc", *_MODELS],
     "cost -i gen": ["cost", "--mode", "gen", "-M", "4", *_MODELS, "--verify-out", "64"],
+    "btloss --l2 0": ["btloss", "--l2", "0"],
+    "btloss --l2 0.5": ["btloss", "--l2", "0.5"],
 }
 
 # name -> argv after the global --seed 42, for commands that read no input
 EMITTERS = {
     "simulate": ["simulate", *DATASET],
     "simulate --verify-out 64": ["simulate", *DATASET, "--verify-out", "64"],
+    "btloss --grad-check": ["btloss", "--grad-check"],
+    "cost gen from flags": ["cost", "--mode", "gen", "-M", "4", *_MODELS,
+                            "--verify-out", "64", "--prompt-tokens", "64",
+                            "--output-tokens", "512", "--solution-tokens", "128",
+                            "--count", "3"],
 }
 
 HASHES = {
@@ -73,8 +82,12 @@ HASHES = {
     "curve latency": "6705c52bc33c4e9ef4c91d70b5c90fbe72d2a36b7a933ae5271b15fb9cf4f2f1",
     "cost -i disc": "3b52108ef77b1828e3ef8e15ba9593005057a8eb5d5755ccc1b441f7642e0393",
     "cost -i gen": "c56d4e1a3992e2e7a11e1f0762e499b18fa41e87676b9eb81179f979bd3de4ad",
+    "btloss --l2 0": "6218bdaf98972a151f0551634d249558b66c6c83683cfd97019a20fe3557b0ca",
+    "btloss --l2 0.5": "ec9e8695712290e96a6da0e90a49cf04c6117d3c8192032d3fec1c6b185bfcac",
     "simulate": "93172673c28cf8a8ca1f75f1c49482c3e7382e4e4e5eada0c0fd33799bebe56f",
     "simulate --verify-out 64": "d5c35d20117335fa7c4065b1279ca86e1b542c8a322dd90df813ef33c1553c8b",
+    "btloss --grad-check": "e92ed147982c92ad6b8b89eb3f8068cc9c2676b1c7bb9ea79aad497fa4c703a9",
+    "cost gen from flags": "89a0b065f7231b1f2b87aeb229922705556cf0ce8e709c497526c0f54f138f99",
 }
 
 

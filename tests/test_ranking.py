@@ -112,6 +112,15 @@ class TestLoss:
         with pytest.raises(ValueError, match="invalid lambda"):
             bt_loss(group([1.0, 0.0], [True, False]), lam=-1.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0, -math.inf])
+    def test_lambda_is_finite_and_non_negative(self, lam):
+        # NaN and inf once passed the lam < 0 check, and the CLI printed
+        # "lambda": NaN or Infinity, which is not JSON
+        g = group([1.0, 0.0], [True, False])
+        for fn in (bt_loss, bt_loss_gradient):
+            with pytest.raises(ValueError, match=f"^invalid lambda: {lam}$"):
+                fn(g, lam)
+
 
 class TestGradient:
     def test_symmetric_pair(self):

@@ -311,10 +311,11 @@ class TestHugeAlpha:
 
     @HUGE_ALPHA_POOLS
     def test_evaluator_refuses(self, problem, transform):
-        cfg = EvalConfig(n=len(problem), method="pv", draws=1, alpha=1e308,
-                         transform=transform)
+        # refused as the config is built, by the rule's own alpha check at N
         with pytest.raises(ValueError, match=r"invalid alpha: 1e\+308"):
-            bootstrap_accuracy([problem], cfg)
+            bootstrap_accuracy([problem], EvalConfig(
+                n=len(problem), method="pv", draws=1, alpha=1e308,
+                transform=transform))
 
     @HUGE_ALPHA_POOLS
     def test_large_finite_alpha_still_runs(self, problem, transform):
@@ -347,6 +348,10 @@ class TestHugeAlpha:
                 exact = bootstrap_accuracy([problem], cfg, exhaustive=True)
                 assert exact.mean == np.mean(picks)
                 assert 0.0 <= bootstrap_accuracy([problem], cfg).mean <= 1.0
+
+
+def _members_of(clusters):
+    return tuple(c for cl in clusters for c in cl.members)
 
 
 class TestSelectGPV:
@@ -409,6 +414,36 @@ class TestSelectGPV:
         with pytest.raises(ValueError, match=message):  # refused by EvalConfig
             bootstrap_accuracy([problem], EvalConfig(
                 n=2, method="gpv", draws=5, m_verifications=m))
+
+    def test_m_zero_is_an_invalid_count(self):
+        # M = 0 once read as "inconsistent M" here, but as "invalid
+        # verification count: 0" from EvalConfig
+        cl, gen = self.gen_pool([("A", [1.0, 0.8]), ("B", [0.6, 0.6])])
+        problem = Problem(problem_id="q", candidates=_members_of(cl))
+        for call in (lambda: select_gpv(cl, gen, m_verifications=0),
+                     lambda: select_answer(problem, "gpv", m_verifications=0),
+                     lambda: EvalConfig(n=1, method="gpv", m_verifications=0)):
+            with pytest.raises(ValueError, match="^invalid verification count: 0$"):
+                call()
+
+    def test_ragged_rows_without_m_are_inconsistent(self):
+        cl, _ = self.gen_pool([("A", [0.1]), ("B", [0.5])])
+        with pytest.raises(ValueError, match="^inconsistent M$"):
+            select_gpv(cl, {"c0": (0.1,), "c1": (0.5, 0.6)})
+
+    def test_no_map_reads_the_candidates_gen_scores(self):
+        # None once read each disc_score as the gen row, and failed on
+        # valid gen_scores as "gen_scores must be finite numbers"
+        rng = np.random.default_rng(26)
+        for _ in range(50):
+            problem = random_problem(rng, max_size=12, with_gen=True)
+            cl = cluster_by_answer(problem)
+            raw = candidate_gen_scores(_members_of(cl), "raw")
+            for m in (None, 1):
+                assert (select_gpv(cl, None, alpha=0.3, m_verifications=m)
+                        == select_gpv(cl, raw, alpha=0.3, m_verifications=m))
+        cl, _ = self.gen_pool([("A", [1.0, 0.8]), ("B", [0.6, 0.6])])
+        assert select_gpv(cl, None).chosen_answer == "A"
 
     def test_overflowing_mean_is_named(self):
         # x's and y's raw means overflow to +inf and -inf; their cluster's
